@@ -416,7 +416,7 @@ func printMuxThroughput(ctx context.Context, _ *world.World) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Multiplexed vs serialized wire (HRPC echo over real TCP loopback, one endpoint)")
+	fmt.Println("Multiplexed vs one-call-at-a-time connections (HRPC echo over real TCP loopback, one endpoint)")
 	fmt.Printf("handler sleeps %v real time per call; %d calls per point; sleeps overlap even\n",
 		spec.Handle, spec.Calls)
 	fmt.Printf("on one core (GOMAXPROCS=%d), so the single-CPU container caveat does not\n",
@@ -430,9 +430,9 @@ func printMuxThroughput(ctx context.Context, _ *world.World) error {
 			p.Goroutines, p.SerialOps, p.MuxOps, p.Speedup, ms(p.SimWarmMux))
 	}
 	fmt.Println()
-	fmt.Println("shape: at 1 caller the framing barely matters; with concurrent callers the")
-	fmt.Println("serialized wire queues every call behind the slowest in-flight handler")
-	fmt.Println("(head-of-line blocking) while tagged frames let replies return as they")
+	fmt.Println("shape: at 1 caller the arms match; with concurrent callers the serialized")
+	fmt.Println("connection queues every call behind the slowest in-flight handler")
+	fmt.Println("(head-of-line blocking) while tagged streams let replies return as they")
 	fmt.Println("finish. Warm per-call simulated cost is identical across arms by")
 	fmt.Println("construction — multiplexing changes scheduling, never the cost model.")
 

@@ -15,11 +15,12 @@ package bind
 // the diff window cannot cover the gap, OnReset fires instead — the
 // consumer must treat everything it cached as suspect.
 //
-// Degradation is automatic and latched: an old server (no Subscribe
-// procedure), a push-incapable connection (legacy serialized framing),
-// or a full subscriber table all mark the Subscriber degraded, after
-// which it stays silent and the consumer's TTL polling — which push
-// never replaces, only quiets — carries on exactly as before.
+// Degradation is automatic and latched: a server that refuses the
+// subscription (push disabled, or a datagram connection with no push
+// channel), a push-incapable connection (a fault-injecting wrapper), or
+// a full subscriber table all mark the Subscriber degraded, after which
+// it stays silent and the consumer's TTL polling — which push never
+// replaces, only quiets — carries on exactly as before.
 
 import (
 	"context"
@@ -36,25 +37,16 @@ import (
 )
 
 // TransferDelta asks the server for the zone's changes since serial
-// since. ok=false means the incremental path is unusable — old server
-// (latched), window exceeded, or unknown zone — and the caller should
-// fall back to a full Transfer. An up-to-date caller gets (serial,
-// nil, true).
+// since. ok=false means the incremental path cannot cover the gap —
+// window exceeded — and the caller should fall back to a full Transfer.
+// An up-to-date caller gets (serial, nil, true).
 func (c *HRPCClient) TransferDelta(ctx context.Context, zone string, since uint32) (uint32, []DiffRec, bool, error) {
-	if c.noIxfr.Load() {
-		return 0, nil, false, nil
-	}
 	model := c.c.Network().Model()
 	simtime.Charge(ctx, model.GenMarshalRequest)
 	ret, err := c.c.Call(ctx, c.b, procIxfr, marshal.StructV(
 		marshal.Str(zone), marshal.U32(since),
 	))
 	if err != nil {
-		if hrpc.ProcUnavailable(err) {
-			// Old server: remember and stop probing.
-			c.noIxfr.Store(true)
-			return 0, nil, false, nil
-		}
 		return 0, nil, false, err
 	}
 	rcode, _ := ret.Items[0].AsU32()
@@ -182,7 +174,8 @@ func (s *Subscriber) Active() bool {
 }
 
 // Degraded reports whether the subscriber has permanently fallen back
-// to TTL polling (old peer, legacy framing, or table overflow).
+// to TTL polling (subscription refused, push-incapable conn, or table
+// overflow).
 func (s *Subscriber) Degraded() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

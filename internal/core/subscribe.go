@@ -6,7 +6,7 @@ package core
 // discovered by optional interface assertion: a meta client that can
 // subscribe exposes Subscribe, and SubscribeMeta wires its
 // notifications into cache invalidation. Clients that cannot (sharded,
-// old servers, legacy transports) simply keep TTL polling.
+// or a server that refuses the subscription) simply keep TTL polling.
 
 import (
 	"hns/internal/bind"

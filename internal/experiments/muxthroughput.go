@@ -14,13 +14,13 @@ import (
 
 // MuxThroughputSpec parameterizes the multiplexing throughput
 // experiment: two identical HRPC echo deployments over real TCP, one
-// dialed with the legacy one-call-at-a-time framing, one with tagged
-// multiplexed frames and a small connection pool. The handler sleeps
-// Handle of real time per call (standing in for server work the kernel
-// can overlap — sleeps overlap even on one core, so the result is
-// meaningful in a single-CPU container) and charges SimCost of
-// simulated time, so the arms' per-call simulated costs can be checked
-// for equality while their wall-clock throughput diverges.
+// whose client connection carries one call at a time (the 1987
+// discipline), one with concurrent calls on a small connection pool.
+// The handler sleeps Handle of real time per call (standing in for
+// server work the kernel can overlap — sleeps overlap even on one core,
+// so the result is meaningful in a single-CPU container) and charges
+// SimCost of simulated time, so the arms' per-call simulated costs can
+// be checked for equality while their wall-clock throughput diverges.
 type MuxThroughputSpec struct {
 	Handle      time.Duration // real time each handler call sleeps
 	SimCost     time.Duration // simulated cost each handler call charges
@@ -44,7 +44,7 @@ func DefaultMuxThroughputSpec() MuxThroughputSpec {
 // multiplexing changes scheduling, never the cost model).
 type MuxThroughputPoint struct {
 	Goroutines    int
-	SerialOps     float64 // ops/sec, legacy framing, one connection
+	SerialOps     float64 // ops/sec, one call at a time, one connection
 	MuxOps        float64 // ops/sec, tagged frames, pooled connections
 	Speedup       float64 // MuxOps / SerialOps
 	SimWarmSerial time.Duration
@@ -59,6 +59,40 @@ var muxBenchProc = hrpc.Procedure{
 	Style: marshal.StyleGenerated,
 }
 
+// serialTransport is the experiment's one-call-at-a-time arm: tcp-net
+// with every client connection holding a mutex across the whole round
+// trip, so concurrent callers queue behind whichever call holds the
+// socket. Listening is plain tcp-net.
+type serialTransport struct{ transport.Transport }
+
+// serialSuite binds the echo program over serialTransport.
+var serialSuite = hrpc.Suite{Transport: "tcp-serial", DataRep: "courier", Control: "courier"}
+
+// Name implements transport.Transport.
+func (serialTransport) Name() string { return serialSuite.Transport }
+
+// Dial implements transport.Transport.
+func (t serialTransport) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := t.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &serialConn{Conn: c}, nil
+}
+
+// serialConn holds mu across Call: one outstanding call per connection.
+type serialConn struct {
+	transport.Conn
+	mu sync.Mutex
+}
+
+// Call implements transport.Conn.
+func (c *serialConn) Call(ctx context.Context, req []byte) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Conn.Call(ctx, req)
+}
+
 // muxArm is one deployment: an echo server on a real TCP socket and a
 // client whose connections to it either serialize or multiplex.
 type muxArm struct {
@@ -68,11 +102,16 @@ type muxArm struct {
 }
 
 func newMuxArm(spec MuxThroughputSpec, muxed bool) (*muxArm, error) {
-	// Each arm gets its own network so the mux setting cannot leak: the
-	// serialized arm speaks the legacy framing end to end (the listener
-	// detects it per connection), the muxed arm tagged frames.
 	n := transport.NewNetwork(simtime.Default())
-	n.SetMux(muxed)
+	suite := hrpc.SuiteCourierNet
+	if !muxed {
+		tcp, err := n.Transport("tcp-net")
+		if err != nil {
+			return nil, err
+		}
+		n.Register(serialTransport{tcp})
+		suite = serialSuite
+	}
 	s := hrpc.NewServer("muxbench", 7100, 1)
 	s.Register(muxBenchProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
 		if spec.Handle > 0 {
@@ -81,7 +120,7 @@ func newMuxArm(spec MuxThroughputSpec, muxed bool) (*muxArm, error) {
 		simtime.Charge(ctx, spec.SimCost)
 		return args, nil
 	})
-	ln, b, err := hrpc.Serve(n, s, hrpc.SuiteCourierNet, "bench", "127.0.0.1:0")
+	ln, b, err := hrpc.Serve(n, s, suite, "bench", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
@@ -153,9 +192,9 @@ func (a *muxArm) warmCost(ctx context.Context) (time.Duration, error) {
 }
 
 // RunMuxThroughput measures head-of-line blocking: the same echo
-// workload through one endpoint with the wire serialized (one call per
-// connection at a time — each caller waits out every other caller's
-// handler) versus multiplexed (tagged frames, concurrent dispatch, a
+// workload through one endpoint with the connection serialized (one call
+// at a time — each caller waits out every other caller's handler)
+// versus multiplexed (tagged frames, concurrent dispatch, a
 // two-connection pool). The experiment is self-contained — it builds
 // its own networks on real TCP loopback sockets and does not touch the
 // world's calibrated tables.

@@ -10,7 +10,7 @@
 // bounded (an overflowing subscriber is refused and falls back to
 // polling), a dead connection drops its subscriptions (the client
 // resubscribes with its last-seen serial and catches up via IXFR), and
-// old peers never subscribe at all.
+// a connection with no push channel is refused at subscribe time.
 package push
 
 import (

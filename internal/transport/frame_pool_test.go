@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -9,14 +10,15 @@ import (
 	"hns/internal/bufpool"
 )
 
-// The pooled encode path must be byte-identical to the pre-pool
-// implementation (encodeReply + writeFrame), which stays in the tree as
-// the reference codec. These tests pin that equivalence for both reply
-// statuses and arbitrary payloads.
+// The pooled tagged codec must be byte-identical to the tag followed by
+// the reference stream codec (encodeReply + writeFrame). These tests pin
+// that equivalence for both reply statuses and arbitrary payloads.
 
-func referenceFramed(cost time.Duration, payload []byte, herr error) ([]byte, error) {
-	var w bytes.Buffer
-	if err := writeFrame(&w, encodeReply(cost, payload, herr)); err != nil {
+const refTag = 0xCAFE0042
+
+func referenceFramed(tag uint32, cost time.Duration, payload []byte, herr error) ([]byte, error) {
+	w := bytes.NewBuffer(binary.BigEndian.AppendUint32(nil, tag))
+	if err := writeFrame(w, encodeReply(cost, payload, herr)); err != nil {
 		return nil, err
 	}
 	return w.Bytes(), nil
@@ -40,11 +42,11 @@ func TestEncodeReplyFramedMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := referenceFramed(tc.cost, tc.payload, tc.herr)
+			want, err := referenceFramed(refTag, tc.cost, tc.payload, tc.herr)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			got, err := encodeReplyFramed(tc.cost, tc.payload, tc.herr)
+			got, err := encodeMuxReplyFramed(refTag, tc.cost, tc.payload, tc.herr)
 			if err != nil {
 				t.Fatalf("pooled: %v", err)
 			}
@@ -78,66 +80,78 @@ func TestAppendReplyMatchesEncodeReply(t *testing.T) {
 
 func TestFrameRequestMatchesReference(t *testing.T) {
 	for _, req := range [][]byte{nil, {}, []byte("q"), bytes.Repeat([]byte{7}, 30000)} {
-		var w bytes.Buffer
-		if err := writeFrame(&w, req); err != nil {
+		w := bytes.NewBuffer(binary.BigEndian.AppendUint32(nil, refTag))
+		if err := writeFrame(w, req); err != nil {
 			t.Fatal(err)
 		}
-		got, err := frameRequest(req)
+		got, err := frameMuxRequest(refTag, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, w.Bytes()) {
-			t.Fatalf("frameRequest(len=%d) differs from writeFrame", len(req))
+			t.Fatalf("frameMuxRequest(len=%d) differs from tag + writeFrame", len(req))
 		}
 		bufpool.Put(got)
 	}
 }
 
+// TestFrameRequestOversize pins the read side of the frame limit: a
+// tagged header claiming more than maxFrame is refused before any
+// allocation, and a frame of exactly maxFrame still reads.
 func TestFrameRequestOversize(t *testing.T) {
-	if _, err := frameRequest(make([]byte, maxFrame+1)); err == nil {
-		t.Fatal("oversize request did not error")
+	hdr := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, refTag), maxFrame+1)
+	if _, _, err := readMuxFramePooled(bytes.NewReader(hdr)); err == nil {
+		t.Fatal("oversize frame header accepted")
 	}
-	if _, err := encodeReplyFramed(0, make([]byte, maxFrame+1), nil); err == nil {
-		t.Fatal("oversize reply did not error")
+	out, err := frameMuxRequest(refTag, make([]byte, maxFrame))
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, body, err := readMuxFramePooled(bytes.NewReader(out))
+	if err != nil || len(body) != maxFrame {
+		t.Fatalf("frame at the limit: len %d, err %v", len(body), err)
+	}
+	bufpool.Put(body)
+	bufpool.Put(out)
 }
 
 func TestReadFramePooledMatchesReadFrame(t *testing.T) {
 	payload := bytes.Repeat([]byte("meta"), 257)
-	var w bytes.Buffer
-	if err := writeFrame(&w, payload); err != nil {
+	w := bytes.NewBuffer(binary.BigEndian.AppendUint32(nil, refTag))
+	if err := writeFrame(w, payload); err != nil {
 		t.Fatal(err)
 	}
 	stream := w.Bytes()
 
-	ref, err := readFrame(bytes.NewReader(stream))
+	ref, err := readFrame(bytes.NewReader(stream[4:]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFramePooled(bytes.NewReader(stream))
+	tag, got, err := readMuxFramePooled(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, ref) {
-		t.Fatal("pooled read differs from reference read")
+	if tag != refTag || !bytes.Equal(got, ref) {
+		t.Fatalf("pooled tagged read (tag %x) differs from reference read", tag)
 	}
 	bufpool.Put(got)
 }
 
-// FuzzFramedEquivalence feeds arbitrary costs/payloads/error texts through
-// both encode paths and requires identical frames, then round-trips the
-// frame through the pooled reader and decodeReply.
+// FuzzFramedEquivalence feeds arbitrary tags/costs/payloads/error texts
+// through the pooled tagged encoder and the reference codec and requires
+// identical frames, then round-trips the frame through the pooled tagged
+// reader and decodeReply.
 func FuzzFramedEquivalence(f *testing.F) {
-	f.Add(uint64(0), []byte(nil), "")
-	f.Add(uint64(27000000), []byte("fiji.cs.washington.edu"), "")
-	f.Add(uint64(1), []byte{0xff, 0x00}, "no such context")
-	f.Fuzz(func(t *testing.T, cost uint64, payload []byte, errText string) {
+	f.Add(uint32(1), uint64(0), []byte(nil), "")
+	f.Add(uint32(7), uint64(27000000), []byte("fiji.cs.washington.edu"), "")
+	f.Add(uint32(0xFFFFFFFF), uint64(1), []byte{0xff, 0x00}, "no such context")
+	f.Fuzz(func(t *testing.T, tag uint32, cost uint64, payload []byte, errText string) {
 		var herr error
 		if errText != "" {
 			herr = errors.New(errText)
 		}
-		want, werr := referenceFramed(time.Duration(cost), payload, herr)
-		got, gerr := encodeReplyFramed(time.Duration(cost), payload, herr)
+		want, werr := referenceFramed(tag, time.Duration(cost), payload, herr)
+		got, gerr := encodeMuxReplyFramed(tag, time.Duration(cost), payload, herr)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("error divergence: reference %v, pooled %v", werr, gerr)
 		}
@@ -147,9 +161,12 @@ func FuzzFramedEquivalence(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frames differ\n got %x\nwant %x", got, want)
 		}
-		body, err := readFramePooled(bytes.NewReader(got))
+		gotTag, body, err := readMuxFramePooled(bytes.NewReader(got))
 		if err != nil {
-			t.Fatalf("readFramePooled: %v", err)
+			t.Fatalf("readMuxFramePooled: %v", err)
+		}
+		if gotTag != tag {
+			t.Fatalf("tag %x, want %x", gotTag, tag)
 		}
 		gotCost, gotPayload, derr := decodeReply(body)
 		if herr != nil {
@@ -170,21 +187,9 @@ func FuzzFramedEquivalence(f *testing.F) {
 	})
 }
 
-// The alloc-gate benchmarks: a warm frame encode and decode must not
-// allocate (scripts/bench_alloc.sh enforces ≤1 alloc/op against these).
-
-func BenchmarkEncodeReplyFramed(b *testing.B) {
-	payload := bytes.Repeat([]byte("record"), 40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := encodeReplyFramed(27*time.Millisecond, payload, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufpool.Put(out)
-	}
-}
+// The alloc-gate benchmark: a warm reply decode must not allocate
+// (scripts/bench_alloc.sh enforces ≤1 alloc/op against it and the mux
+// codec benchmarks in mux_test.go).
 
 func BenchmarkDecodeReplyWarm(b *testing.B) {
 	body := encodeReply(27*time.Millisecond, bytes.Repeat([]byte("record"), 40), nil)
@@ -194,18 +199,5 @@ func BenchmarkDecodeReplyWarm(b *testing.B) {
 		if _, _, err := decodeReply(body); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkFrameRequest(b *testing.B) {
-	req := bytes.Repeat([]byte("q"), 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := frameRequest(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bufpool.Put(out)
 	}
 }

@@ -12,19 +12,14 @@ package transport
 // into per-call channels, and the server dispatches each tagged request
 // to its own goroutine (serializing only the response writes).
 //
-// Negotiation: a mux-enabled client opens a TCP connection by writing
-// the 4-byte preamble "HMUX" before its first frame. The value decodes
-// as a length prefix of 0x484D5558 — far above maxFrame — so a legacy
-// server rejects the connection instead of misparsing it, and a
-// mux-aware listener tells the two framings apart from the first four
-// bytes alone: preamble → tagged frames, anything else → the untagged
-// legacy framing, served exactly as before. Old clients therefore keep
-// working against new servers unchanged; new clients talking to old
-// servers disable multiplexing with Network.SetMux (the daemons expose
-// it as -mux=false). UDP has no byte stream to negotiate on once, so
-// tagged request datagrams carry the same preamble ahead of the tag and
-// the listener detects the framing per datagram, answering in kind —
-// old and new clients coexist on one UDP listener too.
+// Tagged frames are the only framing on the real sockets. A TCP client
+// opens every connection by writing the 4-byte preamble "HMUX", then
+// sends [tag][len][body] frames; the listener closes a connection that
+// opens with anything else. Each UDP request datagram carries the same
+// preamble ahead of its tag, and the listener drops datagrams without
+// it. Both rejections count in mux_demux_errors_total. A reply too big
+// for its frame or datagram is replaced by a status-1 error envelope,
+// so the caller fails fast instead of waiting out its deadline.
 //
 // Cost accounting is untouched: each call charges its own meter the
 // transport round trip plus the cost envelope its reply carries, so
@@ -114,7 +109,6 @@ var muxConnIDs atomic.Uint64
 var errSkipFrame = errors.New("transport: unparseable mux frame")
 
 // defaultMuxWait is the reply-wait ceiling for calls without a context
-// deadline, matching the legacy serialized transports' 30 s socket
 // deadline.
 const defaultMuxWait = 30 * time.Second
 
@@ -131,9 +125,9 @@ type muxResult struct {
 // trip); the read function is called only from the single reader
 // goroutine, which demultiplexes replies by tag into per-call channels.
 type muxCore struct {
-	obs   wireObs
-	id    uint64
-	rtt   time.Duration // simulated round trip charged per call
+	obs wireObs
+	id  uint64
+	rtt time.Duration // simulated round trip charged per call
 
 	write   func(tag uint32, req []byte) error // one request frame; wmu held
 	read    func() (uint32, []byte, error)     // one reply frame; reader only
@@ -184,8 +178,8 @@ func (m *muxCore) readLoop() {
 			fn := m.onPush
 			m.mu.Unlock()
 			if fn == nil {
-				// No handler installed (an old client, or nobody
-				// subscribed on this conn): drop like any unclaimed tag.
+				// Nobody subscribed on this conn: drop like any
+				// unclaimed tag.
 				m.obs.demux()
 				bufpool.Put(body)
 				continue
@@ -235,7 +229,7 @@ func (m *muxCore) fail(cause error) {
 
 // SetPushHandler implements PushReceiver. A handler installed after the
 // connection already died receives the death notice immediately.
-func (m *muxCore) SetPushHandler(fn func(body []byte, err error)) bool {
+func (m *muxCore) SetPushHandler(fn func(body []byte, err error)) {
 	m.mu.Lock()
 	if m.broken != nil {
 		broken := m.broken
@@ -243,11 +237,10 @@ func (m *muxCore) SetPushHandler(fn func(body []byte, err error)) bool {
 		if fn != nil {
 			fn(nil, broken)
 		}
-		return true
+		return
 	}
 	m.onPush = fn
 	m.mu.Unlock()
-	return true
 }
 
 // forget abandons a pending tag (the call gave up). A late reply for it
@@ -259,8 +252,7 @@ func (m *muxCore) forget(tag uint32) {
 }
 
 // Call implements Conn. Many calls may be in flight concurrently; each
-// charges its own meter the round trip plus the reply's cost envelope,
-// exactly like the serialized transports.
+// charges its own meter the round trip plus the reply's cost envelope.
 func (m *muxCore) Call(ctx context.Context, req []byte) ([]byte, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -335,10 +327,9 @@ func (m *muxCore) Close() error {
 
 // ---- Tagged frame codec (stream transports).
 //
-// A mux frame is the legacy frame with a 4-byte big-endian stream tag
-// ahead of the length prefix: [tag][len][body]. Bodies are byte-for-byte
-// the legacy bodies, so the envelope codec (encodeReply/decodeReply) is
-// shared unchanged.
+// A mux frame is a 4-byte big-endian stream tag ahead of a 4-byte
+// big-endian length prefix and the body: [tag][len][body]. Bodies are
+// the request payload or the reply envelope of frame.go.
 
 // frameMuxRequest builds a complete tagged request frame in one pooled
 // buffer. Release with bufpool.Put after writing.
@@ -355,7 +346,7 @@ func frameMuxRequest(tag uint32, req []byte) ([]byte, error) {
 // encodeMuxReplyFramed builds a complete tagged reply frame — tag,
 // length prefix, and envelope body — in one pooled buffer, so the reply
 // goes out in a single Write with a single copy. Byte-for-byte this is
-// the tag followed by encodeReplyFramed's output.
+// the tag followed by writeFrame(encodeReply(...)).
 func encodeMuxReplyFramed(tag uint32, cost time.Duration, payload []byte, handlerErr error) ([]byte, error) {
 	n := 9 + len(payload)
 	if handlerErr != nil {

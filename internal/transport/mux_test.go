@@ -38,15 +38,19 @@ func TestMuxFrameCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMuxFrameMatchesLegacyFrame pins the interop contract: a mux frame
-// is byte-for-byte the legacy frame with the 4-byte tag prepended, for
-// requests and replies alike, so the envelope codec stays shared.
+// TestMuxFrameMatchesLegacyFrame pins the frame layout: a tagged frame
+// is byte-for-byte the 4-byte tag followed by the length-prefixed stream
+// frame (writeFrame), for requests and replies alike, so the envelope
+// codec is shared.
 func TestMuxFrameMatchesLegacyFrame(t *testing.T) {
-	req := []byte("request-payload")
-	legacy, err := frameRequest(req)
-	if err != nil {
-		t.Fatal(err)
+	untagged := func(body []byte) []byte {
+		var w bytes.Buffer
+		if err := writeFrame(&w, body); err != nil {
+			t.Fatal(err)
+		}
+		return w.Bytes()
 	}
+	req := []byte("request-payload")
 	tagged, err := frameMuxRequest(0xDEADBEEF, req)
 	if err != nil {
 		t.Fatal(err)
@@ -54,14 +58,10 @@ func TestMuxFrameMatchesLegacyFrame(t *testing.T) {
 	if binary.BigEndian.Uint32(tagged[:4]) != 0xDEADBEEF {
 		t.Fatalf("tag bytes = %x", tagged[:4])
 	}
-	if !bytes.Equal(tagged[4:], legacy) {
-		t.Fatalf("tagged frame body diverges from legacy framing:\n%x\n%x", tagged[4:], legacy)
+	if !bytes.Equal(tagged[4:], untagged(req)) {
+		t.Fatalf("tagged frame body diverges from stream framing:\n%x\n%x", tagged[4:], untagged(req))
 	}
 
-	legacyReply, err := encodeReplyFramed(5*time.Millisecond, []byte("reply"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	taggedReply, err := encodeMuxReplyFramed(42, 5*time.Millisecond, []byte("reply"), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestMuxFrameMatchesLegacyFrame(t *testing.T) {
 	if binary.BigEndian.Uint32(taggedReply[:4]) != 42 {
 		t.Fatalf("reply tag bytes = %x", taggedReply[:4])
 	}
-	if !bytes.Equal(taggedReply[4:], legacyReply) {
-		t.Fatalf("tagged reply diverges from legacy framing")
+	if !bytes.Equal(taggedReply[4:], untagged(encodeReply(5*time.Millisecond, []byte("reply"), nil))) {
+		t.Fatalf("tagged reply diverges from stream framing")
 	}
 }
 
@@ -84,9 +84,9 @@ func TestMuxFrameOversize(t *testing.T) {
 	}
 }
 
-// TestMuxPreambleUnambiguous pins the negotiation trick: the preamble,
-// read as a legacy length prefix, must exceed maxFrame so no legal
-// legacy client can ever start a connection with those four bytes.
+// TestMuxPreambleUnambiguous pins why a foreign length-prefixed stream
+// can never be mistaken for a tagged one: the preamble, read as a length
+// prefix, exceeds maxFrame, so no legal untagged frame starts with it.
 func TestMuxPreambleUnambiguous(t *testing.T) {
 	if v := binary.BigEndian.Uint32(muxPreamble[:]); v <= maxFrame {
 		t.Fatalf("preamble %x decodes as legal frame length %d", muxPreamble, v)
@@ -179,8 +179,8 @@ func TestTCPMuxSlowCallDoesNotBlockFast(t *testing.T) {
 }
 
 // TestTCPMuxCostCharging pins the simulated costs on the multiplexed
-// path: bit-identical to the serialized one — setup at dial, rtt plus
-// the server's metered cost per call.
+// path: setup at dial, rtt plus the server's metered cost per call —
+// the same charges the simulated "tcp" transport makes.
 func TestTCPMuxCostCharging(t *testing.T) {
 	n := newTestNetwork()
 	model := n.Model()
@@ -207,38 +207,52 @@ func TestTCPMuxCostCharging(t *testing.T) {
 	}
 	want := model.TCPConnSetup + model.RTTTCP + 3*time.Millisecond
 	if cost != want {
-		t.Fatalf("mux cost = %v, want %v (must match serialized path)", cost, want)
+		t.Fatalf("mux cost = %v, want %v", cost, want)
 	}
 }
 
-// TestTCPMuxOffLegacyFraming covers both halves of the negotiation:
-// with SetMux(false) the client speaks untagged frames and the listener
-// auto-detects and serves the legacy loop.
+// TestTCPMuxOffLegacyFraming sends what a peer with multiplexing off
+// would: a bare length-prefixed frame, no preamble. The listener must
+// close the connection without answering and count it in
+// mux_demux_errors_total.
 func TestTCPMuxOffLegacyFraming(t *testing.T) {
 	n := newTestNetwork()
-	n.SetMux(false)
 	tr, _ := n.Transport("tcp-net")
-	ln, err := tr.Listen("127.0.0.1:0", echoHandler)
+	served := make(chan struct{}, 1)
+	ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+		served <- struct{}{}
+		return req, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	conn, err := tr.Dial(context.Background(), ln.Addr())
+	demux := metrics.Default().Counter(metrics.Labels("mux_demux_errors_total", "transport", "tcp-net"))
+	before := demux.Value()
+
+	c, err := net.Dial("tcp", ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, ok := conn.(*tcpConn); !ok {
-		t.Fatalf("with mux off, dial returned %T, want serialized tcpConn", conn)
+	defer c.Close()
+	if err := writeFrame(c, []byte("legacy")); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		got, err := conn.Call(context.Background(), []byte("legacy"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != "legacy" {
-			t.Fatalf("echo = %q", got)
-		}
+	// Closed means EOF, or a reset when the unread frame body was still
+	// queued at close; either way no reply and no read timeout.
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := c.Read(make([]byte, 64))
+	var ne net.Error
+	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("legacy frame got (%d bytes, %v), want the connection closed", got, err)
+	}
+	if d := demux.Value() - before; d != 1 {
+		t.Fatalf("mux_demux_errors_total advanced by %d, want 1", d)
+	}
+	select {
+	case <-served:
+		t.Fatal("handler ran for a legacy frame")
+	default:
 	}
 }
 
@@ -558,16 +572,14 @@ func TestUDPMuxCostCharging(t *testing.T) {
 	}
 	want := model.RTTUDP + 2*time.Millisecond
 	if cost != want {
-		t.Fatalf("mux cost = %v, want %v (must match serialized path)", cost, want)
+		t.Fatalf("mux cost = %v, want %v", cost, want)
 	}
 }
 
-// TestUDPMuxMixedFramingOneListener pins the per-datagram detection
-// that keeps mixed deployments working: one default listener serves a
-// multiplexed dialer and a legacy (SetMux(false)) dialer at the same
-// time, answering each in the framing its request arrived in. This is
-// the exact shape of a federation where one daemon runs -mux=false
-// while its peers keep the default.
+// TestUDPMuxMixedFramingOneListener sends both framings to one
+// listener: a tagged dialer is served, while an untagged datagram — what
+// a peer with multiplexing off would send — is dropped unanswered and
+// counted in mux_demux_errors_total.
 func TestUDPMuxMixedFramingOneListener(t *testing.T) {
 	n := newTestNetwork()
 	tr, _ := n.Transport("udp-net")
@@ -577,32 +589,89 @@ func TestUDPMuxMixedFramingOneListener(t *testing.T) {
 	}
 	defer ln.Close()
 
-	legacyNet := newTestNetwork()
-	legacyNet.SetMux(false)
-	legacyTr, _ := legacyNet.Transport("udp-net")
+	t.Run("mux-dialer", func(t *testing.T) {
+		conn, err := tr.Dial(context.Background(), ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for i := 0; i < 3; i++ {
+			want := fmt.Sprintf("mux-dialer-%d", i)
+			got, err := conn.Call(context.Background(), []byte(want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != want {
+				t.Fatalf("echo = %q, want %q", got, want)
+			}
+		}
+	})
+	t.Run("legacy-dialer", func(t *testing.T) {
+		demux := metrics.Default().Counter(metrics.Labels("mux_demux_errors_total", "transport", "udp-net"))
+		before := demux.Value()
+		c, err := net.Dial("udp", ln.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write([]byte("legacy-dialer-request")); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for demux.Value() == before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if d := demux.Value() - before; d != 1 {
+			t.Fatalf("mux_demux_errors_total advanced by %d, want 1", d)
+		}
+		c.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		if n, err := c.Read(make([]byte, 64)); err == nil {
+			t.Fatalf("untagged datagram answered with %d bytes", n)
+		}
+	})
+}
 
+// TestOversizedReplyFailsFast: a reply too big for its frame (TCP) or
+// datagram (UDP) comes back as a *RemoteError well before the caller's
+// deadline, instead of vanishing and expiring the call as a loss.
+func TestOversizedReplyFailsFast(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		tr   Transport
+		size int
 	}{
-		{"mux-dialer", tr},
-		{"legacy-dialer", legacyTr},
+		{"tcp-net", maxFrame + 1024},
+		{"udp-net", 70 * 1024},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			conn, err := tc.tr.Dial(context.Background(), ln.Addr())
+			n := newTestNetwork()
+			tr, _ := n.Transport(tc.name)
+			ln, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+				return make([]byte, tc.size), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			conn, err := tr.Dial(context.Background(), ln.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			for i := 0; i < 3; i++ {
-				want := fmt.Sprintf("%s-%d", tc.name, i)
-				got, err := conn.Call(context.Background(), []byte(want))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(got) != want {
-					t.Fatalf("echo = %q, want %q", got, want)
-				}
+			const wait = 5 * time.Second
+			ctx, cancel := context.WithTimeout(context.Background(), wait)
+			defer cancel()
+			start := time.Now()
+			_, err = conn.Call(ctx, []byte("big"))
+			var re *RemoteError
+			if !errors.As(err, &re) {
+				t.Fatalf("oversized reply got %v, want *RemoteError", err)
+			}
+			if el := time.Since(start); el > wait/2 {
+				t.Fatalf("oversized reply took %v of a %v deadline", el, wait)
+			}
+			// The connection stays usable.
+			if _, err := conn.Call(context.Background(), []byte("again")); !errors.As(err, &re) {
+				t.Fatalf("second call got %v, want *RemoteError", err)
 			}
 		})
 	}
@@ -610,62 +679,51 @@ func TestUDPMuxMixedFramingOneListener(t *testing.T) {
 
 // ---- Simulated transport mirror.
 
-// TestSimMuxSemantics pins the sim mirror of the wire semantics: a
-// default (muxed) sim conn lets concurrent calls overlap in real time;
-// with mux off the conn serializes them — while simulated charges stay
-// identical in both modes.
+// TestSimMuxSemantics pins the sim mirror of the wire semantics:
+// concurrent calls on one sim conn overlap in real time, and each call
+// is charged the same simulated cost.
 func TestSimMuxSemantics(t *testing.T) {
 	const sleep = 40 * time.Millisecond
-	measure := func(mux bool) (wall time.Duration, sim time.Duration) {
-		n := newTestNetwork()
-		n.SetMux(mux)
-		tr, _ := n.Transport("udp")
-		ln, err := tr.Listen("h:busy", func(ctx context.Context, req []byte) ([]byte, error) {
-			time.Sleep(sleep) // real time: models handler occupancy
-			simtime.Charge(ctx, 5*time.Millisecond)
-			return req, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		conn, err := tr.Dial(context.Background(), "h:busy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
+	n := newTestNetwork()
+	tr, _ := n.Transport("udp")
+	ln, err := tr.Listen("h:busy", func(ctx context.Context, req []byte) ([]byte, error) {
+		time.Sleep(sleep) // real time: models handler occupancy
+		simtime.Charge(ctx, 5*time.Millisecond)
+		return req, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := tr.Dial(context.Background(), "h:busy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 
-		meters := make([]*simtime.Meter, 2)
-		start := time.Now()
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				m := simtime.NewMeter()
-				meters[i] = m
-				if _, err := conn.Call(simtime.WithMeter(context.Background(), m), []byte("x")); err != nil {
-					t.Error(err)
-				}
-			}(i)
-		}
-		wg.Wait()
-		if meters[0].Elapsed() != meters[1].Elapsed() {
-			t.Fatalf("per-call sim costs diverge: %v vs %v", meters[0].Elapsed(), meters[1].Elapsed())
-		}
-		return time.Since(start), meters[0].Elapsed()
+	meters := make([]*simtime.Meter, 2)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m := simtime.NewMeter()
+			meters[i] = m
+			if _, err := conn.Call(simtime.WithMeter(context.Background(), m), []byte("x")); err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-
-	muxWall, muxSim := measure(true)
-	serWall, serSim := measure(false)
-	if muxSim != serSim {
-		t.Fatalf("sim charge differs across modes: mux %v, serialized %v", muxSim, serSim)
+	wg.Wait()
+	if meters[0].Elapsed() != meters[1].Elapsed() {
+		t.Fatalf("per-call sim costs diverge: %v vs %v", meters[0].Elapsed(), meters[1].Elapsed())
 	}
-	if serWall < 2*sleep {
-		t.Fatalf("serialized conn overlapped calls: wall %v < %v", serWall, 2*sleep)
+	if want := n.Model().RTTUDP + 5*time.Millisecond; meters[0].Elapsed() != want {
+		t.Fatalf("sim charge = %v, want %v", meters[0].Elapsed(), want)
 	}
-	if muxWall >= 2*sleep {
-		t.Fatalf("muxed conn serialized calls: wall %v >= %v", muxWall, 2*sleep)
+	if wall := time.Since(start); wall >= 2*sleep {
+		t.Fatalf("sim conn serialized calls: wall %v >= %v", wall, 2*sleep)
 	}
 }
 

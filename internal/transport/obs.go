@@ -39,8 +39,10 @@ func (o wireObs) rx(n int) {
 	o.rxBytes.Add(int64(n))
 }
 
-// demux records a multiplexed reply that matched no waiting call — an
-// unknown or abandoned stream tag, or an unparseable tagged datagram.
+// demux records a frame the tagged framing cannot place: a reply that
+// matched no waiting call (an unknown or abandoned stream tag, an
+// unparseable datagram), or a request in a foreign framing — a TCP
+// connection without the preamble, a UDP datagram without a tag.
 // Series: mux_demux_errors_total{transport}.
 func (o wireObs) demux() {
 	o.demuxErrs.Inc()

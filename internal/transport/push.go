@@ -6,18 +6,16 @@ package transport
 // is free: it is reserved as the push tag. A server may write tag-0
 // frames onto a multiplexed connection at any time; the client's reader
 // goroutine recognizes the tag and hands the body to the connection's
-// push handler instead of a pending call. Old clients never install a
-// handler and drop tag-0 frames as demux misses; old servers never send
-// them — the channel is invisible until both ends opt in, so every
-// existing exchange is byte-identical.
+// push handler instead of a pending call. A connection with no handler
+// installed drops tag-0 frames as demux misses, so the channel is
+// invisible until a client subscribes.
 //
 // The server half is a Pusher carried in the handler context: a handler
 // that wants to stream (bind's Subscribe) captures it and keeps pushing
 // after the call returns, until Done() says the connection died.
-// Serialized connections and datagram listeners carry no Pusher, so a
-// subscribe-style handler can refuse and let the client fall back to
-// polling — the negotiation is the absence of the capability, not a
-// protocol round.
+// Datagram listeners carry no Pusher, so a subscribe-style handler
+// refuses and the client falls back to polling — the negotiation is the
+// absence of the capability, not a protocol round.
 
 import "context"
 
@@ -26,16 +24,15 @@ import "context"
 const pushTag = 0
 
 // PushReceiver is implemented by client connections able to receive
-// server-initiated frames (multiplexed stream connections). Obtain it by
-// type-asserting a Conn.
+// server-initiated frames. Obtain it by type-asserting a Conn; a wrapped
+// conn (a fault injector) does not implement it.
 type PushReceiver interface {
-	// SetPushHandler installs fn as the connection's push handler and
-	// reports whether the connection can receive pushes at all (a
-	// serialized connection cannot). fn owns body. When the connection
-	// dies, fn is called once with a nil body and the fatal error, so a
-	// subscriber knows to redial and resubscribe. fn runs on the
-	// connection's reader goroutine and must not block.
-	SetPushHandler(fn func(body []byte, err error)) bool
+	// SetPushHandler installs fn as the connection's push handler. fn
+	// owns body. When the connection dies, fn is called once with a nil
+	// body and the fatal error, so a subscriber knows to redial and
+	// resubscribe. fn runs on the connection's reader goroutine and must
+	// not block.
+	SetPushHandler(fn func(body []byte, err error))
 }
 
 // Pusher is the server half of the push channel: the handler-context
@@ -57,7 +54,7 @@ type Pusher interface {
 type pusherCtxKey struct{}
 
 // WithPusher returns a context carrying the connection's push
-// capability. Installed by mux-serving transports on handler contexts.
+// capability. Installed by stream-serving transports on handler contexts.
 func WithPusher(ctx context.Context, p Pusher) context.Context {
 	return context.WithValue(ctx, pusherCtxKey{}, p)
 }

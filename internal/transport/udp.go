@@ -6,8 +6,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"hns/internal/bufpool"
 	"hns/internal/simtime"
@@ -18,33 +16,21 @@ import (
 // discipline the prototype emulated (callers retry at the RPC layer if they
 // care). Payloads are limited to what fits a datagram.
 //
-// With mux enabled (the default) every request datagram opens with the
-// mux preamble and a 4-byte stream tag so one socket carries many
-// in-flight calls. Datagrams have no byte stream to sniff once, so the
-// listener detects the framing per datagram: a request starting with
-// the preamble is tagged, anything else is legacy — old clients keep
-// working against new listeners with zero configuration, exactly like
-// TCP. (A legacy frame whose first eight bytes happen to spell the
-// preamble would be misread; none of the repo's control protocols can
-// produce one short of a 2^32-call XID collision.) Replies need no
-// preamble: the server answers in the framing the request arrived in.
+// Every request datagram opens with the mux preamble and a 4-byte stream
+// tag, so one socket carries many in-flight calls; the reply echoes the
+// tag (no preamble). The listener drops, and counts, any datagram that
+// does not open with the preamble.
 type udpTransport struct {
 	model *simtime.Model
 	obs   wireObs
-	mux   atomic.Bool
 }
 
 func newUDPTransport(model *simtime.Model) *udpTransport {
-	t := &udpTransport{model: model, obs: newWireObs("udp-net")}
-	t.mux.Store(true)
-	return t
+	return &udpTransport{model: model, obs: newWireObs("udp-net")}
 }
 
 // Name implements Transport.
 func (t *udpTransport) Name() string { return "udp-net" }
-
-// setMux implements muxConfigurable.
-func (t *udpTransport) setMux(enabled bool) { t.mux.Store(enabled) }
 
 // maxDatagram bounds request/reply payloads on the real UDP transport.
 const maxDatagram = 60 * 1024
@@ -58,9 +44,6 @@ func (t *udpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 	c, err := net.DialUDP("udp", nil, raddr)
 	if err != nil {
 		return nil, err
-	}
-	if !t.mux.Load() {
-		return &udpConn{model: t.model, obs: t.obs, c: c}, nil
 	}
 	return newUDPMux(t.model, t.obs, c), nil
 }
@@ -117,7 +100,7 @@ func (t *udpTransport) Listen(addr string, h Handler) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &udpListener{pc: pc, h: h, done: make(chan struct{})}
+	l := &udpListener{pc: pc, h: h, obs: t.obs, done: make(chan struct{})}
 	go l.serveLoop()
 	return l, nil
 }
@@ -125,6 +108,7 @@ func (t *udpTransport) Listen(addr string, h Handler) (Listener, error) {
 type udpListener struct {
 	pc   *net.UDPConn
 	h    Handler
+	obs  wireObs
 	done chan struct{}
 	once sync.Once
 }
@@ -157,92 +141,23 @@ func (l *udpListener) serveLoop() {
 			}
 			continue
 		}
+		if n < 8 || [4]byte(buf[:4]) != muxPreamble {
+			l.obs.demux() // foreign framing: no tag to answer under
+			bufpool.Put(buf)
+			continue
+		}
 		go func(req []byte, n int, peer *net.UDPAddr) {
-			// Per-datagram framing detection: a request opening with the
-			// mux preamble is tagged, anything else legacy. The reply is
-			// framed to match, so old and new clients coexist on one
-			// listener.
-			payload := req[:n]
-			var tag uint32
-			tagged := n >= 8 && [4]byte(req[:4]) == muxPreamble
-			if tagged {
-				tag = binary.BigEndian.Uint32(req[4:8])
-				payload = req[8:n]
-			}
+			tag := binary.BigEndian.Uint32(req[4:8])
 			meter := simtime.NewMeter()
-			resp, herr := l.h(WithPeer(simtime.WithMeter(context.Background(), meter), peer.String()), payload)
-			var body []byte
-			if tagged {
-				body = appendReply(binary.BigEndian.AppendUint32(bufpool.Get(13+len(resp)), tag),
-					meter.Elapsed(), resp, herr)
-			} else {
-				body = appendReply(bufpool.Get(9+len(resp)), meter.Elapsed(), resp, herr)
+			resp, herr := l.h(WithPeer(simtime.WithMeter(context.Background(), meter), peer.String()), req[8:n])
+			body := appendReply(binary.BigEndian.AppendUint32(bufpool.Get(13+len(resp)), tag),
+				meter.Elapsed(), resp, herr)
+			if len(body) > maxDatagram {
+				body = appendReply(body[:4], meter.Elapsed(), nil, errReplyTooLarge)
 			}
 			bufpool.Put(req) // after encoding: resp may alias the request
-			if len(body) <= maxDatagram {
-				_, _ = l.pc.WriteToUDP(body, peer)
-			}
+			_, _ = l.pc.WriteToUDP(body, peer)
 			bufpool.Put(body)
 		}(buf, n, peer)
 	}
-}
-
-type udpConn struct {
-	model *simtime.Model
-	obs   wireObs
-
-	mu     sync.Mutex
-	c      *net.UDPConn
-	closed bool
-}
-
-// Call implements Conn.
-func (c *udpConn) Call(ctx context.Context, req []byte) ([]byte, error) {
-	if len(req) > maxDatagram {
-		return nil, errors.New("transport: request exceeds datagram limit")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		dl = time.Now().Add(10 * time.Second)
-	}
-	if err := c.c.SetDeadline(dl); err != nil {
-		return nil, err
-	}
-	if _, err := c.c.Write(req); err != nil {
-		return nil, err
-	}
-	c.obs.tx(len(req))
-	buf := bufpool.Get(maxDatagram)[:maxDatagram]
-	n, err := c.c.Read(buf)
-	if err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	c.obs.rx(n)
-	simtime.Charge(ctx, c.model.RTTUDP)
-	cost, payload, err := decodeReply(buf[:n])
-	if payload != nil {
-		// Copy out so the pooled receive buffer can be recycled — the one
-		// per-call allocation left on this path.
-		payload = append(make([]byte, 0, len(payload)), payload...)
-	}
-	bufpool.Put(buf)
-	simtime.Charge(ctx, cost)
-	return payload, err
-}
-
-// Close implements Conn.
-func (c *udpConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.c.Close()
 }

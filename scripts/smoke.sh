@@ -260,8 +260,8 @@ grep -Eq 'notowner: +[1-9][0-9]* redirects served' <<<"$out" || { echo "SMOKE FA
 
 # ---- Part 5: the push plane. A push-enabled primary with an IXFR diff
 # log, a NOTIFY-driven secondary, and a subscribed hnsd: a dynamic update
-# reaches both the moment it lands (no TTL or refresh-tick wait), and
-# -mux=false provably degrades the subscriber back to TTL polling.
+# reaches both the moment it lands (no TTL or refresh-tick wait), and a
+# subscriber facing a push-less primary provably degrades to TTL polling.
 ./bindd -host pushp -zone hns -update -push -ixfr-window 256 \
         -hrpc 127.0.0.1:5380 -std "" -metrics 127.0.0.1:5381 >pushp.log 2>&1 &
 echo $! >> pids
@@ -316,8 +316,16 @@ out=$(./hnsctl stats -from 127.0.0.1:5384 -filter push_client)
 echo "$out"
 grep -Eq 'push_client_notify_total +[1-9]' <<<"$out" || { echo "SMOKE FAILED: hnsd saw no NOTIFY"; exit 1; }
 
-echo "--- -mux=false fallback: a legacy-framing hnsd degrades to TTL polling and still resolves"
-./hnsd -addr 127.0.0.1:5386 -meta 127.0.0.1:5380 -subscribe -mux=false \
+echo "--- push-less fallback: a subscribing hnsd against a bindd without -push degrades to TTL polling and still resolves"
+./bindd -host nopush -zone hns -update -hrpc 127.0.0.1:5388 -std "" >nopush.log 2>&1 &
+echo $! >> pids
+sleep 0.5
+./hnsctl register-ns      -meta 127.0.0.1:5388 bind-cs bind
+./hnsctl register-context -meta 127.0.0.1:5388 hostaddr-bind bind-cs
+./hnsctl register-nsm     -meta 127.0.0.1:5388 -name hostaddr-bind-1 \
+        -ns bind-cs -qclass hostaddress -nsm-host june.cs.washington.edu \
+        -hostctx hostaddr-bind -port 5320 -suite udp-net,xdr,sunrpc
+./hnsd -addr 127.0.0.1:5386 -meta 127.0.0.1:5388 -subscribe \
        -metrics 127.0.0.1:5387 -link-bind bind-cs=127.0.0.1:5302 >hns_pushfb.log 2>&1 &
 echo $! >> pids
 sleep 1
@@ -326,6 +334,6 @@ echo "$out"
 grep -q '127.0.0.1' <<<"$out" || { echo "SMOKE FAILED: resolve through degraded hnsd"; exit 1; }
 out=$(./hnsctl stats -from 127.0.0.1:5387 -filter push_client)
 echo "$out"
-grep -Eq 'push_client_degraded_total +[1-9]' <<<"$out" || { echo "SMOKE FAILED: legacy framing did not degrade to polling"; exit 1; }
+grep -Eq 'push_client_degraded_total +[1-9]' <<<"$out" || { echo "SMOKE FAILED: push-less primary did not degrade the subscriber to polling"; exit 1; }
 
 echo "SMOKE OK"
