@@ -87,6 +87,8 @@ func main() {
 
 	metaRPC := hrpc.NewClient(net)
 	metaRPC.FreshConn = true
+	metaRPC.Pool.IdleTimeout = *connIdle
+	defer metaRPC.Close()
 	var meta core.MetaClient
 	if *metaShards != "" {
 		// Sharded meta-store: route every meta lookup/update to the
@@ -199,6 +201,7 @@ func main() {
 					// call to the same endpoint); the sweep closes idle
 					// connections to endpoints no one is calling anymore.
 					rpc.CloseIdle()
+					metaRPC.CloseIdle()
 				}
 			case <-sweepDone:
 				return

@@ -27,11 +27,14 @@ type Client struct {
 	net *transport.Network
 	xid atomic.Uint32
 
-	// FreshConn, when set, makes every call dial (and close) its own
-	// connection instead of using the cache. The Raw protocol suite of
-	// the era worked this way — one request/response exchange per
-	// connection — and the HNS's interface to its meta-BIND pays the
-	// resulting per-call setup cost. Set before first use.
+	// FreshConn, when set, charges every call attempt one connection
+	// setup. The Raw protocol suite of the era worked this way — one
+	// request/response exchange per connection — and the HNS's interface
+	// to its meta-BIND pays the resulting per-call setup cost. On the
+	// real-socket transports (transport.DialCoster) the attempt rides the
+	// pooled connection and the setup is charged without a real dial;
+	// elsewhere every attempt dials and closes its own connection. Set
+	// before first use.
 	FreshConn bool
 
 	// Retries is how many times a call is retransmitted after a
@@ -72,7 +75,7 @@ type Client struct {
 	Pool PoolConfig
 
 	mu    sync.Mutex
-	pools map[string]*connPool
+	pools map[poolKey]*connPool
 
 	// brokenSeen records, per endpoint, the newest broken-connection ID
 	// already charged to its breaker: a multiplexed connection dying with
@@ -86,6 +89,11 @@ type Client struct {
 
 	healthOnce sync.Once
 	healthSet  *health.Set
+
+	// Per-call instruments, resolved once per label value so the call
+	// path does not format series names.
+	callsByProc  seriesCache[*metrics.Counter]   // hrpc_client_calls_total{proc}
+	callMSByAddr seriesCache[*metrics.Histogram] // hrpc_client_call_ms{addr}
 }
 
 // RetryPolicy bounds how long one call may spend detecting and retrying
@@ -129,14 +137,16 @@ func (c *Client) SetReplicas(primary string, replicas ...string) {
 	c.replicas[primary] = set
 }
 
-// replicasFor resolves the replica set for addr; a single-element set
-// (just addr) when none was configured.
-func (c *Client) replicasFor(addr string) []string {
+// replicasFor resolves the replica set for addr. When none was
+// configured it is the single-element set held in one, which the caller
+// provides so the common case allocates nothing.
+func (c *Client) replicasFor(addr string, one *[1]string) []string {
 	c.repMu.RLock()
 	set := c.replicas[addr]
 	c.repMu.RUnlock()
 	if set == nil {
-		return []string{addr}
+		one[0] = addr
+		return one[:]
 	}
 	return set
 }
@@ -165,9 +175,34 @@ func (c *Client) registry() *metrics.Registry {
 	return metrics.Default()
 }
 
+// seriesCache memoizes instruments by one label value, so a hot path
+// formats and looks up each series name once rather than per call.
+type seriesCache[T any] struct {
+	mu sync.RWMutex
+	m  map[string]T
+}
+
+// get returns the instrument for key, building it with mk on first use.
+func (s *seriesCache[T]) get(key string, mk func(string) T) T {
+	s.mu.RLock()
+	v, ok := s.m[key]
+	s.mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = mk(key)
+	s.mu.Lock()
+	if s.m == nil {
+		s.m = make(map[string]T)
+	}
+	s.m[key] = v
+	s.mu.Unlock()
+	return v
+}
+
 // NewClient creates a client on the given network.
 func NewClient(net *transport.Network) *Client {
-	return &Client{net: net, pools: make(map[string]*connPool)}
+	return &Client{net: net, pools: make(map[poolKey]*connPool)}
 }
 
 // Network exposes the client's network (for components that need the cost
@@ -196,12 +231,15 @@ type xidMatcher interface {
 func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.Value) (_ marshal.Value, err error) {
 	reg := c.registry()
 	if reg.Enabled() {
-		reg.Counter(metrics.Labels("hrpc_client_calls_total", "proc", p.Name)).Inc()
+		c.callsByProc.get(p.Name, func(proc string) *metrics.Counter {
+			return reg.Counter(metrics.Labels("hrpc_client_calls_total", "proc", proc))
+		}).Inc()
 		meter := simtime.From(ctx)
 		before := meter.Elapsed()
 		defer func() {
-			reg.Histogram(metrics.Labels("hrpc_client_call_ms", "addr", b.Addr)).
-				Observe(meter.Elapsed() - before)
+			c.callMSByAddr.get(b.Addr, func(addr string) *metrics.Histogram {
+				return reg.Histogram(metrics.Labels("hrpc_client_call_ms", "addr", addr))
+			}).Observe(meter.Elapsed() - before)
 			if err != nil {
 				reg.Counter(metrics.Labels("hrpc_client_errors_total",
 					"kind", errKind(err))).Inc()
@@ -441,7 +479,8 @@ func (b budgetState) remaining() time.Duration {
 func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr string, frame []byte, bs budgetState) ([]byte, string, error) {
 	reg := c.registry()
 	model := c.net.Model()
-	replicas := c.replicasFor(addr)
+	var one [1]string
+	replicas := c.replicasFor(addr, &one)
 	hs := c.breakers()
 
 	base := c.Policy.Base
@@ -605,61 +644,65 @@ func (c *Client) recordFailure(hs *health.Set, ep string, err error) {
 
 // sendOnce performs a single exchange over a pooled connection,
 // redialing once if a pooled connection has gone stale.
+//
+// A FreshConn attempt pays exactly one connection setup. Over a
+// transport.DialCoster it rides the pool like any other call: when the
+// attempt dialed (first use, or the stale-connection redial), that
+// dial's charge is the setup; otherwise DialCost charges it. Any other
+// transport dials and closes a connection per attempt.
 func (c *Client) sendOnce(ctx context.Context, tr transport.Transport, addr string, frame []byte) ([]byte, error) {
+	var setup transport.DialCoster
 	if c.FreshConn {
-		conn, err := tr.Dial(ctx, addr)
-		if err != nil {
-			return nil, err
+		dc, ok := tr.(transport.DialCoster)
+		if !ok {
+			conn, err := tr.Dial(ctx, addr)
+			if err != nil {
+				return nil, err
+			}
+			defer conn.Close()
+			return conn.Call(ctx, frame)
 		}
-		defer conn.Close()
-		return conn.Call(ctx, frame)
+		setup = dc
 	}
-	key := tr.Name() + "!" + addr
-	e, pooled, err := c.acquire(ctx, tr, addr, key)
+	key := poolKey{tr.Name(), addr}
+	e, dialed, err := c.acquire(ctx, tr, addr, key)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := e.conn.Call(ctx, frame)
-	if err == nil {
-		c.release(e)
-		return resp, nil
-	}
-	// A remote error came over a healthy exchange; an expired call left
-	// a healthy multiplexed connection (its reply will be dropped by
-	// tag). Both keep the connection pooled.
-	var re *transport.RemoteError
-	var ce *transport.CallExpiredError
-	if errors.As(err, &re) || errors.As(err, &ce) {
-		c.release(e)
-		return nil, err
-	}
-	// A connection dialed by this very call gets no second chance — but
-	// it stays pooled unless it is actually broken, matching the legacy
-	// cache (a lost datagram says nothing about the socket; the next
-	// attempt reuses it).
-	if !pooled {
-		if errors.Is(err, transport.ErrConnBroken) {
-			c.discard(e)
-		} else {
-			c.release(e)
+	// A connection dialed by this very call gets no second chance, and
+	// neither does a failure that left the connection healthy.
+	if err == nil || dialed || connHealthy(err) {
+		c.settle(e, err)
+		if setup != nil && !dialed {
+			setup.DialCost(ctx)
 		}
-		return nil, err
+		return resp, err
 	}
 	// A pre-existing pooled connection may simply have gone stale (server
 	// restarted since the last call): retire it and redial once within
 	// the same attempt.
 	c.discard(e)
-	e2, _, err2 := c.acquire(ctx, tr, addr, key)
+	e2, dialed, err2 := c.acquire(ctx, tr, addr, key)
 	if err2 != nil {
 		return nil, err
 	}
-	resp, err = e2.conn.Call(ctx, frame)
-	if err == nil || !errors.Is(err, transport.ErrConnBroken) {
-		c.release(e2)
-	} else {
-		c.discard(e2)
+	if setup != nil && !dialed {
+		setup.DialCost(ctx)
 	}
+	resp, err = e2.conn.Call(ctx, frame)
+	c.settle(e2, err)
 	return resp, err
+}
+
+// connHealthy reports whether a failed call left its connection
+// healthy: a remote error came over a working exchange, and an expired
+// call leaves a multiplexed connection usable (its reply, if it comes,
+// is dropped by tag).
+func connHealthy(err error) bool {
+	var re *transport.RemoteError
+	var ce *transport.CallExpiredError
+	return errors.As(err, &re) || errors.As(err, &ce)
 }
 
 // Close releases every pooled connection.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hns/internal/marshal"
+	"hns/internal/metrics"
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )
@@ -505,5 +506,62 @@ func TestSuiteBindFields(t *testing.T) {
 	}
 	if b.Program != 2 || b.Version != 3 || b.Host != "xerox" || b.Addr != "xerox:5" {
 		t.Fatalf("SuiteCourier.Bind = %+v", b)
+	}
+}
+
+// TestCallSeriesNames pins the per-call series both ends resolve once
+// (client per proc and per address, server per registered procedure):
+// names and values are what a per-call lookup would produce, and a
+// procedure registered after the handler was built is still counted.
+func TestCallSeriesNames(t *testing.T) {
+	n := transport.NewNetwork(simtime.Default())
+	srvReg := metrics.NewRegistry()
+	s := NewServer("echo@h", 7001, 1)
+	s.Metrics = srvReg
+	s.Register(echoProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
+		return args, nil
+	})
+	ln, b, err := Serve(n, s, SuiteCourier, "h", "h:series")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	s.Register(addProc, func(ctx context.Context, args marshal.Value) (marshal.Value, error) {
+		x, _ := args.Items[0].AsU32()
+		y, _ := args.Items[1].AsU32()
+		return marshal.StructV(marshal.U32(x + y)), nil
+	})
+
+	cliReg := metrics.NewRegistry()
+	c := NewClient(n)
+	c.Metrics = cliReg
+	defer c.Close()
+	ctx := context.Background()
+	for i := 0; i < 3; i++ {
+		if _, err := c.Call(ctx, b, echoProc, marshal.StructV(marshal.Str("x"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Call(ctx, b, addProc, marshal.StructV(marshal.U32(1), marshal.U32(2))); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		reg  *metrics.Registry
+		name string
+		want int64
+	}{
+		{cliReg, `hrpc_client_calls_total{proc="Echo"}`, 3},
+		{cliReg, `hrpc_client_calls_total{proc="Add"}`, 1},
+		{srvReg, `hrpc_server_calls_total{server="echo@h",proc="Echo"}`, 3},
+		{srvReg, `hrpc_server_calls_total{server="echo@h",proc="Add"}`, 1},
+	} {
+		if got := tc.reg.Counter(tc.name).Value(); got != tc.want {
+			t.Errorf("%s = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	ms := fmt.Sprintf(`hrpc_client_call_ms{addr="%s"}`, b.Addr)
+	if got := cliReg.Histogram(ms).Count(); got != 4 {
+		t.Errorf("%s count = %d, want 4", ms, got)
 	}
 }

@@ -18,6 +18,7 @@ package hrpc
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"hns/internal/metrics"
@@ -52,6 +53,10 @@ type PoolConfig struct {
 	Clock simtime.Clock
 }
 
+// poolKey identifies an endpoint's pool: the transport name plus the
+// address.
+type poolKey struct{ transport, addr string }
+
 // connPool is the per-endpoint state: a small set of open connections
 // plus the gauges that make its size and load observable.
 type connPool struct {
@@ -85,17 +90,17 @@ func (c *Client) clock() simtime.Clock {
 
 // poolFor returns (creating if needed) the pool for key. Caller must
 // hold c.mu.
-func (c *Client) poolFor(key, addr string) *connPool {
+func (c *Client) poolFor(key poolKey) *connPool {
 	if c.pools == nil {
-		c.pools = make(map[string]*connPool)
+		c.pools = make(map[poolKey]*connPool)
 	}
 	p, ok := c.pools[key]
 	if !ok {
 		reg := c.registry()
 		p = &connPool{
-			addr:     addr,
-			size:     reg.Gauge(metrics.Labels("conn_pool_size", "addr", addr)),
-			inflight: reg.Gauge(metrics.Labels("conn_inflight", "addr", addr)),
+			addr:     key.addr,
+			size:     reg.Gauge(metrics.Labels("conn_pool_size", "addr", key.addr)),
+			inflight: reg.Gauge(metrics.Labels("conn_inflight", "addr", key.addr)),
 		}
 		c.pools[key] = p
 	}
@@ -141,10 +146,10 @@ func (p *connPool) leastLoadedLocked(maxStreams int) *pooledConn {
 
 // acquire returns a connection to addr holding one in-flight
 // reservation, reusing a pooled connection when one is available and
-// dialing otherwise. The second result reports whether the connection
-// predates this acquire (the legacy "came from the cache" signal that
-// gates the one-redial recovery in sendOnce).
-func (c *Client) acquire(ctx context.Context, tr transport.Transport, addr, key string) (*pooledConn, bool, error) {
+// dialing otherwise. The second result reports whether this acquire
+// dialed (and so paid the transport's setup charge); it gates the
+// one-redial recovery and the FreshConn setup charge in sendOnce.
+func (c *Client) acquire(ctx context.Context, tr transport.Transport, addr string, key poolKey) (*pooledConn, bool, error) {
 	maxConns := c.Pool.MaxConns
 	if maxConns <= 0 {
 		maxConns = 1
@@ -152,14 +157,14 @@ func (c *Client) acquire(ctx context.Context, tr transport.Transport, addr, key 
 	now := c.clock().Now()
 
 	c.mu.Lock()
-	pool := c.poolFor(key, addr)
+	pool := c.poolFor(key)
 	expired := pool.evictIdleLocked(now, c.Pool.IdleTimeout)
 	if e := pool.leastLoadedLocked(c.Pool.MaxStreams); e != nil {
 		e.inflight++
 		pool.inflight.Add(1)
 		c.mu.Unlock()
 		closeAll(expired)
-		return e, true, nil
+		return e, false, nil
 	}
 	full := len(pool.conns) >= maxConns
 	var overflow *pooledConn
@@ -173,7 +178,7 @@ func (c *Client) acquire(ctx context.Context, tr transport.Transport, addr, key 
 		pool.inflight.Add(1)
 		c.mu.Unlock()
 		closeAll(expired)
-		return overflow, true, nil
+		return overflow, false, nil
 	}
 	c.mu.Unlock()
 	closeAll(expired)
@@ -185,7 +190,8 @@ func (c *Client) acquire(ctx context.Context, tr transport.Transport, addr, key 
 	e := &pooledConn{pool: pool, conn: conn, inflight: 1}
 	c.mu.Lock()
 	if len(pool.conns) >= maxConns {
-		// Lost a dial race; ride an existing connection and drop ours.
+		// Lost a dial race; ride an existing connection and drop ours
+		// (the dial still happened, and was charged).
 		if prev := pool.leastLoadedLocked(0); prev != nil {
 			prev.inflight++
 			pool.inflight.Add(1)
@@ -198,7 +204,7 @@ func (c *Client) acquire(ctx context.Context, tr transport.Transport, addr, key 
 	pool.size.Set(int64(len(pool.conns)))
 	pool.inflight.Add(1)
 	c.mu.Unlock()
-	return e, false, nil
+	return e, true, nil
 }
 
 // release returns an acquire's reservation after a successful (or
@@ -209,6 +215,17 @@ func (c *Client) release(e *pooledConn) {
 	e.idleSince = c.clock().Now()
 	e.pool.inflight.Add(-1)
 	c.mu.Unlock()
+}
+
+// settle ends an acquire's reservation after a call: a broken
+// connection leaves the pool; any other outcome (success, a remote
+// error, an expired wait, a lost datagram) keeps it pooled.
+func (c *Client) settle(e *pooledConn, err error) {
+	if errors.Is(err, transport.ErrConnBroken) {
+		c.discard(e)
+	} else {
+		c.release(e)
+	}
 }
 
 // discard drops a failed connection: the reservation is returned and the

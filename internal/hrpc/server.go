@@ -206,6 +206,18 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtim
 	reg := s.registry()
 	faults := reg.Counter(metrics.Labels("hrpc_server_faults_total", "server", s.name))
 	sheds := reg.Counter(metrics.Labels("hrpc_server_budget_shed_total", "server", s.name))
+	// hrpc_server_calls_total{server,proc}, resolved here for every
+	// procedure registered so far; one registered later is resolved per
+	// call.
+	callsFor := func(proc string) *metrics.Counter {
+		return reg.Counter(metrics.Labels("hrpc_server_calls_total", "server", s.name, "proc", proc))
+	}
+	s.mu.RLock()
+	calls := make(map[uint32]*metrics.Counter, len(s.procs))
+	for id, sp := range s.procs {
+		calls[id] = callsFor(sp.p.Name)
+	}
+	s.mu.RUnlock()
 	return func(ctx context.Context, reqFrame []byte) ([]byte, error) {
 		// A deadline-propagating caller prefixed its remaining budget;
 		// strip it before the control protocol sees the frame. Callers
@@ -239,8 +251,11 @@ func (s *Server) Handler(rep marshal.DataRep, ctl ControlProtocol, model *simtim
 		if !ok {
 			return reply(fmt.Sprintf("procedure %d unavailable on program %d", ch.Procedure, s.program), nil)
 		}
-		reg.Counter(metrics.Labels("hrpc_server_calls_total",
-			"server", s.name, "proc", sp.p.Name)).Inc()
+		if c, ok := calls[ch.Procedure]; ok {
+			c.Inc()
+		} else {
+			callsFor(sp.p.Name).Inc()
+		}
 
 		// Admission first, budget second — both before demarshalling, so
 		// shed work costs the server a header parse and nothing more.

@@ -35,7 +35,7 @@ func (t *tcpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	simtime.Charge(ctx, t.model.TCPConnSetup)
+	t.DialCost(ctx)
 	// Announce tagged framing; the listener closes any connection that
 	// opens otherwise.
 	if _, err := c.Write(muxPreamble[:]); err != nil {
@@ -43,6 +43,11 @@ func (t *tcpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 		return nil, err
 	}
 	return newTCPMux(t.model, t.obs, c), nil
+}
+
+// DialCost implements DialCoster: the modeled TCP connection setup.
+func (t *tcpTransport) DialCost(ctx context.Context) {
+	simtime.Charge(ctx, t.model.TCPConnSetup)
 }
 
 // newTCPMux wraps an established stream in the tagged-frame client core:

@@ -76,6 +76,17 @@ type Transport interface {
 	Listen(addr string, h Handler) (Listener, error)
 }
 
+// DialCoster is implemented by the real-socket transports. DialCost
+// charges the meter in ctx exactly what a successful Dial would, without
+// opening anything. A client keeping the Raw suite's one-connection-per-
+// call cost discipline uses it to ride a pooled socket while still paying
+// the modeled setup. The simulated transports and Faulty do not implement
+// it: their dials cost no real work, and a fault plan draws a fault per
+// Dial, so those clients keep dialing per call.
+type DialCoster interface {
+	DialCost(ctx context.Context)
+}
+
 // RemoteError is an error produced by the remote handler (as opposed to a
 // transport failure).
 type RemoteError struct {

@@ -48,6 +48,10 @@ func (t *udpTransport) Dial(ctx context.Context, addr string) (Conn, error) {
 	return newUDPMux(t.model, t.obs, c), nil
 }
 
+// DialCost implements DialCoster. A datagram socket has no setup
+// exchange, so Dial charges nothing and neither does this.
+func (t *udpTransport) DialCost(context.Context) {}
+
 // newUDPMux wraps a connected UDP socket in the tagged-frame client
 // core. Each request datagram is [preamble][4-byte tag][payload]; the
 // listener echoes the tag ahead of the reply envelope (no preamble —

@@ -19,8 +19,8 @@ echo "--- race detector, concurrency stress at -cpu 4"
 go test -race -cpu 4 -run 'Stress|Stampede|Concurrent|Shard|Parallel' \
         . ./internal/cache ./internal/bind ./internal/workload ./internal/shard
 
-echo "--- mux stress tier: multiplexed wire, pool, and teardown paths"
-go test -race -run Mux -count=3 ./internal/transport ./internal/hrpc
+echo "--- mux stress tier: multiplexed wire, pool, teardown and FreshConn paths"
+go test -race -run 'Mux|FreshConn' -count=3 ./internal/transport ./internal/hrpc
 
 echo "--- fleet scenario tier: one tiny seeded config per scenario, raced"
 go test -race -run 'TestScenario' -count=3 ./internal/workload
