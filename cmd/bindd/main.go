@@ -308,7 +308,7 @@ func main() {
 	}
 
 	if *replyTTL > 0 {
-		srv.EnableReplyCache(nil, *replyTTL, 0)
+		srv.EnableReplyCache(nil, *replyTTL)
 		log.Printf("bindd: reply cache enabled, ttl %s", *replyTTL)
 	}
 

@@ -17,7 +17,7 @@ func newReplyCacheEnv(t *testing.T) *testEnv {
 	model := simtime.Default()
 	net := transport.NewNetwork(model)
 	s := NewServer("fiji", model)
-	s.EnableReplyCache(nil, time.Hour, 0)
+	s.EnableReplyCache(nil, time.Hour)
 
 	z, err := NewZone("cs.washington.edu", true)
 	if err != nil {

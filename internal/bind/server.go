@@ -81,9 +81,8 @@ func (s *Server) SetUpdateGate(g UpdateGate) {
 // replyCacheConfig records the EnableReplyCache parameters so HRPC servers
 // created later inherit them.
 type replyCacheConfig struct {
-	clock      simtime.Clock
-	ttl        time.Duration
-	maxEntries int
+	clock simtime.Clock
+	ttl   time.Duration
 }
 
 // stdReplyCache memoizes encoded standard-interface responses keyed by the
@@ -114,20 +113,20 @@ func NewServer(host string, model *simtime.Model) *Server {
 func (s *Server) Host() string { return s.host }
 
 // EnableReplyCache equips the server's interfaces with TTL-bounded
-// marshalled-reply caches of at most maxEntries entries each (0 =
-// unbounded): the standard interface caches whole encoded responses, and
+// marshalled-reply caches: the standard interface caches whole encoded
+// responses, and
 // every HRPC server the Server has spawned (or spawns later) caches
 // marshalled query/serial results. A nil clock uses real time. Zone
 // mutations through this Server invalidate both; the TTL bounds staleness
 // from mutations that bypass it (direct Zone.Add, secondary refresh —
 // bindd invalidates after a transfer lands).
-func (s *Server) EnableReplyCache(clock simtime.Clock, ttl time.Duration, maxEntries int) {
+func (s *Server) EnableReplyCache(clock simtime.Clock, ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
 	s.stdReplies.Store(&stdReplyCache{
 		ttl:   ttl,
-		cache: cache.New[stdCachedReply](clock, maxEntries),
+		cache: cache.New[stdCachedReply](clock, 0),
 		hits: s.reg.Counter(metrics.Labels("reply_cache_hit_total",
 			"server", "bind-std@"+s.host)),
 		misses: s.reg.Counter(metrics.Labels("reply_cache_miss_total",
@@ -137,9 +136,9 @@ func (s *Server) EnableReplyCache(clock simtime.Clock, ttl time.Duration, maxEnt
 	})
 	s.replyMu.Lock()
 	defer s.replyMu.Unlock()
-	s.replyCfg = &replyCacheConfig{clock: clock, ttl: ttl, maxEntries: maxEntries}
+	s.replyCfg = &replyCacheConfig{clock: clock, ttl: ttl}
 	for _, hs := range s.hrpcSrvs {
-		hs.EnableReplyCache(clock, ttl, maxEntries)
+		hs.EnableReplyCache(clock, ttl)
 	}
 }
 
@@ -519,7 +518,7 @@ func (s *Server) HRPCServer() *hrpc.Server {
 	hs := hrpc.NewServer("bind-hrpc@"+s.host, HRPCProgram, HRPCVersion)
 	s.replyMu.Lock()
 	if s.replyCfg != nil {
-		hs.EnableReplyCache(s.replyCfg.clock, s.replyCfg.ttl, s.replyCfg.maxEntries)
+		hs.EnableReplyCache(s.replyCfg.clock, s.replyCfg.ttl)
 	}
 	s.hrpcSrvs = append(s.hrpcSrvs, hs)
 	s.replyMu.Unlock()

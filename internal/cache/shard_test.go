@@ -11,12 +11,12 @@ func TestShardCountSelection(t *testing.T) {
 	cases := []struct {
 		max, shards, want int
 	}{
-		{0, 16, 16},     // unbounded: as requested
-		{0, 0, 1},       // degenerate request clamps up
-		{0, 5, 8},       // rounds up to a power of two
+		{0, 16, 16}, // unbounded: as requested
+		{0, 0, 1},   // degenerate request clamps up
+		{0, 5, 8},   // rounds up to a power of two
 		{0, 1 << 20, maxShards},
-		{8, 16, 8},      // bounded: never more shards than capacity
-		{3, 16, 2},      // rounded down to a power of two ≤ max
+		{8, 16, 8}, // bounded: never more shards than capacity
+		{3, 16, 2}, // rounded down to a power of two ≤ max
 	}
 	for _, tc := range cases {
 		c := NewWithShards[int](newClock(), tc.max, tc.shards)

@@ -118,7 +118,7 @@ func RunAvailability(ctx context.Context, w *world.World, clk *simtime.FakeClock
 	mc := hrpc.NewClient(w.Net)
 	mc.FreshConn = true // Raw suite discipline: dial per call
 	mc.Metrics = reg
-	mc.Policy = hrpc.RetryPolicy{Budget: availBudget}
+	mc.RetryBudget = availBudget
 	mc.Health = health.Config{
 		Threshold: availThreshold,
 		Cooldown:  availCooldown,

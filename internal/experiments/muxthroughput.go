@@ -15,7 +15,7 @@ import (
 // MuxThroughputSpec parameterizes the multiplexing throughput
 // experiment: two identical HRPC echo deployments over real TCP, one
 // whose client connection carries one call at a time (the 1987
-// discipline), one with concurrent calls on a small connection pool.
+// discipline), one with concurrent calls multiplexed on one connection.
 // The handler sleeps Handle of real time per call (standing in for
 // server work the kernel can overlap — sleeps overlap even on one core,
 // so the result is meaningful in a single-CPU container) and charges
@@ -45,7 +45,7 @@ func DefaultMuxThroughputSpec() MuxThroughputSpec {
 type MuxThroughputPoint struct {
 	Goroutines    int
 	SerialOps     float64 // ops/sec, one call at a time, one connection
-	MuxOps        float64 // ops/sec, tagged frames, pooled connections
+	MuxOps        float64 // ops/sec, tagged frames, one pooled connection
 	Speedup       float64 // MuxOps / SerialOps
 	SimWarmSerial time.Duration
 	SimWarmMux    time.Duration
@@ -126,9 +126,6 @@ func newMuxArm(spec MuxThroughputSpec, muxed bool) (*muxArm, error) {
 	}
 	c := hrpc.NewClient(n)
 	c.Metrics = metrics.NewRegistry() // keep bench metrics out of the process registry
-	if muxed {
-		c.Pool = hrpc.PoolConfig{MaxConns: 2, MaxStreams: 32}
-	}
 	return &muxArm{
 		client: c,
 		b:      b,
@@ -194,8 +191,8 @@ func (a *muxArm) warmCost(ctx context.Context) (time.Duration, error) {
 // RunMuxThroughput measures head-of-line blocking: the same echo
 // workload through one endpoint with the connection serialized (one call
 // at a time — each caller waits out every other caller's handler)
-// versus multiplexed (tagged frames, concurrent dispatch, a
-// two-connection pool). The experiment is self-contained — it builds
+// versus multiplexed (tagged frames and concurrent dispatch on the
+// client's one pooled connection). The experiment is self-contained — it builds
 // its own networks on real TCP loopback sockets and does not touch the
 // world's calibrated tables.
 func RunMuxThroughput(ctx context.Context, spec MuxThroughputSpec) ([]MuxThroughputPoint, error) {

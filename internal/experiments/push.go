@@ -12,8 +12,8 @@ import (
 
 	"hns/internal/bind"
 	"hns/internal/hrpc"
-	"hns/internal/push"
 	"hns/internal/metrics"
+	"hns/internal/push"
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )

@@ -60,7 +60,7 @@ func RunReplyCache(ctx context.Context, w *world.World) ([]ReplyCacheResult, err
 	arm := func(addr string, withCache bool) (*bind.HRPCClient, *hrpc.Server, func(), error) {
 		hs := w.BindServer.HRPCServer()
 		if withCache {
-			hs.EnableReplyCache(w.Clock, time.Hour, 0)
+			hs.EnableReplyCache(w.Clock, time.Hour)
 		}
 		ln, hb, err := hrpc.Serve(w.Net, hs, hrpc.SuiteLocal, "fiji", addr)
 		if err != nil {

@@ -37,9 +37,9 @@ type Config struct {
 	// Config.Server defaults to Name.
 	Admission *admission.Config
 	// PropagateDeadline makes the upstream client carry the caller's
-	// remaining budget on forwarded calls. Requires a backend that
-	// tolerates the HDLN prefix (any server in this tree; old peers
-	// need it off).
+	// remaining budget on forwarded calls (the HDLN prefix, see
+	// hrpc.Client.PropagateDeadline). Off by default because the
+	// calibrated tables are computed without budget propagation.
 	PropagateDeadline bool
 }
 

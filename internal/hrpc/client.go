@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,9 +19,8 @@ import (
 
 // Client places HRPC calls. It resolves a Binding's component names to
 // implementations at call time — the "mix and match at bind time" property
-// — and pools transport connections per endpoint (one by default; see
-// PoolConfig for multiplexed fan-out). A Client is safe for concurrent
-// use.
+// — and keeps one multiplexed transport connection per endpoint (see
+// pool.go). A Client is safe for concurrent use.
 type Client struct {
 	net *transport.Network
 	xid atomic.Uint32
@@ -37,31 +35,30 @@ type Client struct {
 	// before first use.
 	FreshConn bool
 
-	// Retries is how many times a call is retransmitted after a
-	// transport-level loss (the Sun RPC discipline: datagrams get lost;
-	// the RPC layer times out and resends). Each retry charges the
-	// model's retransmission timeout. Remote faults — a live server
-	// saying no — are never retried. Set before first use.
-	Retries int
+	// RetryBudget caps the total retransmission wait one call may
+	// charge, in simulated time (the Sun RPC discipline: datagrams get
+	// lost; the RPC layer times out and resends). The first wait is the
+	// model's RetransmitTimeout and each further one doubles, up to 4×
+	// that. When the next wait would exceed what remains, the call
+	// charges the remainder and fails with ErrCallTimeout, so a blackout
+	// costs exactly RetryBudget. Zero means a loss fails the call at
+	// once. Remote faults — a live server saying no — are never retried.
+	// Set before first use.
+	RetryBudget time.Duration
 
 	// Metrics receives the client's hrpc_client_* series. Nil means the
 	// process-wide metrics.Default(); metrics.Discard disables them.
 	// Set before first use.
 	Metrics *metrics.Registry
 
-	// Policy bounds the retransmission discipline per call. The zero
-	// value derives its budget from Retries so legacy configuration
-	// keeps its exact cost behavior. Set before first use.
-	Policy RetryPolicy
-
 	// PropagateDeadline, when set, carries the caller's remaining budget
 	// with every call attempt (an explicit WithBudget value, else the
 	// ctx deadline): deadline-aware servers shed work that arrives
 	// already expired, and each retransmission carries what remains
 	// after the charged backoff, not the original budget. Off by
-	// default — the prefix changes the wire bytes, so it is opt-in per
-	// client, and pre-extension servers would reject the frame. Set
-	// before first use.
+	// default: the calibrated tables are computed without budget
+	// propagation, and the prefix changes the wire bytes. Set before
+	// first use.
 	PropagateDeadline bool
 
 	// Health parameterizes the per-endpoint circuit breakers. The zero
@@ -69,9 +66,9 @@ type Client struct {
 	// use.
 	Health health.Config
 
-	// Pool bounds the per-endpoint connection pool (see pool.go). The
-	// zero value keeps the legacy discipline: one connection per
-	// endpoint, kept until Close. Set before first use.
+	// Pool sets the idle-connection policy (see pool.go). The zero
+	// value keeps each endpoint's connection until Close. Set before
+	// first use.
 	Pool PoolConfig
 
 	mu    sync.Mutex
@@ -94,32 +91,6 @@ type Client struct {
 	// path does not format series names.
 	callsByProc  seriesCache[*metrics.Counter]   // hrpc_client_calls_total{proc}
 	callMSByAddr seriesCache[*metrics.Histogram] // hrpc_client_call_ms{addr}
-}
-
-// RetryPolicy bounds how long one call may spend detecting and retrying
-// transport-level losses. All durations are simulated time, charged to
-// the caller's meter exactly as the waits they model.
-type RetryPolicy struct {
-	// Budget caps the total retransmission wait one call may charge.
-	// When the next backoff would exceed what remains, the call charges
-	// the remainder and fails with ErrCallTimeout — a blackout costs
-	// exactly Budget, never more. Non-positive means Retries × the
-	// model's retransmission timeout (the legacy discipline's cost).
-	Budget time.Duration
-
-	// Base is the first retransmission timeout. Non-positive means the
-	// model's RetransmitTimeout. The first wait is exactly Base —
-	// deterministic, so calibrated costs stay reproducible.
-	Base time.Duration
-
-	// Max caps the exponential backoff. Non-positive means 4 × Base.
-	Max time.Duration
-
-	// Jitter, in (0, 1], spreads backoffs ±Jitter fraction around the
-	// exponential schedule from the second wait on. The spread is a
-	// deterministic hash of (endpoint, attempt) — reproducible runs,
-	// no shared randomness. Zero disables jitter.
-	Jitter float64
 }
 
 // SetReplicas installs an ordered replica set for calls bound to
@@ -246,40 +217,12 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 			}
 		}()
 	}
-	if err := b.Validate(); err != nil {
-		return marshal.Value{}, err
-	}
-	tr, err := c.net.Transport(b.Transport)
+	tr, st, err := c.bind(b)
 	if err != nil {
 		return marshal.Value{}, err
 	}
-	rep, err := marshal.Lookup(b.DataRep)
-	if err != nil {
-		return marshal.Value{}, err
-	}
-	ctl, err := LookupControl(b.Control)
-	if err != nil {
-		return marshal.Value{}, err
-	}
-	model := c.net.Model()
-
-	// Client-side stub work: control bookkeeping plus argument marshalling.
-	// Both the marshalled arguments and the call frame build in pooled
-	// buffers: the arguments are recycled as soon as the frame has copied
-	// them, the frame once the reply is fully decoded (a handler on the
-	// in-process transport may return bytes aliasing its request).
-	simtime.Charge(ctx, ctl.Overhead(model))
-	argBytes, err := rep.Append(bufpool.Get(64), args, p.Args)
-	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
-	}
-	marshal.ChargeValue(ctx, model, p.Style, args)
-
 	xid := c.xid.Add(1)
-	frame, err := appendCall(ctl, bufpool.Get(48+len(argBytes)), CallHeader{
-		XID: xid, Program: b.Program, Version: b.Version, Procedure: p.ID,
-	}, argBytes)
-	bufpool.Put(argBytes)
+	frame, err := st.encodeCall(ctx, xid, p, args)
 	if err != nil {
 		return marshal.Value{}, err
 	}
@@ -289,40 +232,104 @@ func (c *Client) Call(ctx context.Context, b Binding, p Procedure, args marshal.
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s to %s: %w", p.Name, b.Addr, err)
 	}
+	ret, err := st.decodeReply(ctx, xid, p, respFrame)
+	if err == nil {
+		return ret, nil
+	}
+	var rf *RemoteFault
+	if !errors.As(err, &rf) {
+		return marshal.Value{}, err
+	}
+	// Typed statuses ride the error text under reserved prefixes. An
+	// Overloaded reply is backpressure, not failure: record the server's
+	// retry-after on the endpoint's breaker (the shared breaker table IS
+	// the per-endpoint backoff state) so the next call routes around the
+	// shedding endpoint without tripping it.
+	if reason, retryAfter, ok := parseOverloadedErr(rf.Msg); ok {
+		c.breakers().Breaker(ep).Backpressure(retryAfter)
+		reg.Counter(metrics.Labels("hrpc_client_backpressure_total", "addr", ep)).Inc()
+		return marshal.Value{}, &BackpressureError{Endpoint: ep, Reason: reason, RetryAfter: retryAfter}
+	}
+	if _, ok := parseExpiredErr(rf.Msg); ok {
+		return marshal.Value{}, &BudgetExpiredError{Endpoint: ep, Proc: p.Name}
+	}
+	return marshal.Value{}, rf
+}
 
-	rh, resBytes, err := ctl.DecodeReply(respFrame)
+// stub is a binding's client-side codec: the data representation and
+// control protocol that encode a call frame and decode its reply.
+// Client.Call and StickyConn.Call share it.
+type stub struct {
+	b     Binding
+	model *simtime.Model
+	ctl   ControlProtocol
+	rep   marshal.DataRep
+}
+
+// bind resolves b's component names to the transport and codec its
+// calls use.
+func (c *Client) bind(b Binding) (transport.Transport, stub, error) {
+	if err := b.Validate(); err != nil {
+		return nil, stub{}, err
+	}
+	tr, err := c.net.Transport(b.Transport)
+	if err != nil {
+		return nil, stub{}, err
+	}
+	rep, err := marshal.Lookup(b.DataRep)
+	if err != nil {
+		return nil, stub{}, err
+	}
+	ctl, err := LookupControl(b.Control)
+	if err != nil {
+		return nil, stub{}, err
+	}
+	return tr, stub{b: b, model: c.net.Model(), ctl: ctl, rep: rep}, nil
+}
+
+// encodeCall does the client-side stub work — control bookkeeping plus
+// argument marshalling — and returns the call frame. Both the marshalled
+// arguments and the frame build in pooled buffers: the arguments are
+// recycled as soon as the frame has copied them; the caller recycles
+// the frame once the reply is fully decoded (a handler on the
+// in-process transport may return bytes aliasing its request).
+func (s stub) encodeCall(ctx context.Context, xid uint32, p Procedure, args marshal.Value) ([]byte, error) {
+	simtime.Charge(ctx, s.ctl.Overhead(s.model))
+	argBytes, err := s.rep.Append(bufpool.Get(64), args, p.Args)
+	if err != nil {
+		return nil, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
+	}
+	marshal.ChargeValue(ctx, s.model, p.Style, args)
+	frame, err := appendCall(s.ctl, bufpool.Get(48+len(argBytes)), CallHeader{
+		XID: xid, Program: s.b.Program, Version: s.b.Version, Procedure: p.ID,
+	}, argBytes)
+	bufpool.Put(argBytes)
+	return frame, err
+}
+
+// decodeReply matches a reply frame to the call's XID and unmarshals the
+// result. A remote procedure error comes back unwrapped as a
+// *RemoteFault.
+func (s stub) decodeReply(ctx context.Context, xid uint32, p Procedure, respFrame []byte) (marshal.Value, error) {
+	rh, resBytes, err := s.ctl.DecodeReply(respFrame)
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s: %w", p.Name, err)
 	}
-	if m, ok := ctl.(xidMatcher); ok {
-		if !m.matchXID(xid, rh.XID) {
-			return marshal.Value{}, fmt.Errorf("%w: sent %d, got %d", ErrXIDMismatch, xid, rh.XID)
-		}
-	} else if rh.XID != xid {
+	match := rh.XID == xid
+	if m, ok := s.ctl.(xidMatcher); ok {
+		match = m.matchXID(xid, rh.XID)
+	}
+	if !match {
 		return marshal.Value{}, fmt.Errorf("%w: sent %d, got %d", ErrXIDMismatch, xid, rh.XID)
 	}
 	if rh.Err != "" {
-		// Typed statuses ride the error text under reserved prefixes.
-		// An Overloaded reply is backpressure, not failure: record the
-		// server's retry-after on the endpoint's breaker (the shared
-		// breaker table IS the per-endpoint backoff state) so the next
-		// call routes around the shedding endpoint without tripping it.
-		if reason, retryAfter, ok := parseOverloadedErr(rh.Err); ok {
-			c.breakers().Breaker(ep).Backpressure(retryAfter)
-			reg.Counter(metrics.Labels("hrpc_client_backpressure_total", "addr", ep)).Inc()
-			return marshal.Value{}, &BackpressureError{Endpoint: ep, Reason: reason, RetryAfter: retryAfter}
-		}
-		if _, ok := parseExpiredErr(rh.Err); ok {
-			return marshal.Value{}, &BudgetExpiredError{Endpoint: ep, Proc: p.Name}
-		}
 		return marshal.Value{}, &RemoteFault{Proc: p.Name, Msg: rh.Err}
 	}
-
-	ret, err := marshal.Unmarshal(rep, resBytes, p.Ret)
+	ret, err := marshal.Unmarshal(s.rep, resBytes, p.Ret)
 	if err != nil {
 		return marshal.Value{}, fmt.Errorf("hrpc: %s: unmarshal result: %w", p.Name, err)
 	}
-	marshal.ChargeValue(ctx, model, p.Style, ret)
+	marshal.ChargeValue(ctx, s.model, p.Style, ret)
 	return ret, nil
 }
 
@@ -409,23 +416,6 @@ func timeoutClass(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// jitterScale returns the deterministic jitter multiplier for the
-// attempt-th backoff against endpoint: 1 ± j, derived from a hash so
-// identical runs charge identical costs.
-func jitterScale(endpoint string, attempt int, j float64) float64 {
-	if j <= 0 {
-		return 1
-	}
-	h := fnv.New64a()
-	h.Write([]byte(endpoint))
-	v := h.Sum64() ^ uint64(attempt)*0x9E3779B97F4A7C15
-	v ^= v >> 33
-	v *= 0xFF51AFD7ED558CCD
-	v ^= v >> 33
-	u := float64(v>>11) / float64(uint64(1)<<53)
-	return 1 + j*(2*u-1)
-}
-
 // budgetState tracks a propagated deadline across a call's attempts:
 // the budget at Call entry plus the caller's meter position then, so
 // each attempt can compute what remains after the sim-time already
@@ -466,16 +456,15 @@ func (b budgetState) remaining() time.Duration {
 
 // roundTrip sends one frame to the first live endpoint of addr's replica
 // set, retransmitting after transport-level losses and failing over as
-// breakers take endpoints out of rotation, within the policy's budget.
+// breakers take endpoints out of rotation, within c.RetryBudget.
 // It reports the endpoint that produced the returned reply, so the
 // caller can attribute reply-carried statuses (backpressure) to it.
 //
 // Cost discipline: a timeout-class failure charges the current backoff
 // (the wait the caller sat through to detect the loss), capped so the
 // total charged wait never exceeds the budget; fast failures (refused,
-// open breaker) charge nothing. With a single replica and the legacy
-// Retries configuration this charges exactly what the old fixed-count
-// loop did, so calibrated Table 3.1 costs are unchanged.
+// open breaker) charge nothing. The schedule is deterministic (no
+// jitter), so identical runs charge identical costs.
 func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr string, frame []byte, bs budgetState) ([]byte, string, error) {
 	reg := c.registry()
 	model := c.net.Model()
@@ -483,19 +472,9 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 	replicas := c.replicasFor(addr, &one)
 	hs := c.breakers()
 
-	base := c.Policy.Base
-	if base <= 0 {
-		base = model.RetransmitTimeout
-	}
-	maxWait := c.Policy.Max
-	if maxWait <= 0 {
-		maxWait = 4 * base
-	}
-	remaining := c.Policy.Budget
-	if remaining <= 0 {
-		remaining = time.Duration(c.Retries) * model.RetransmitTimeout
-	}
-	// A caller deadline already shorter than the policy's budget clamps
+	maxWait := 4 * model.RetransmitTimeout
+	remaining := c.RetryBudget
+	// A caller deadline already shorter than the retry budget clamps
 	// it: scheduling a retry wait the caller will not live to see only
 	// charges sim time for a reply nobody wants. The propagated budget
 	// (when one is active) clamps the same way.
@@ -511,9 +490,8 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 	var (
 		lastErr  error
 		attempts int
-		waits    int    // timeout-class failures so far (backoff schedule position)
-		tried    uint64 // bitmask of replica indexes that failed this call
-		rawWait  = base // unjittered next backoff
+		tried    uint64                    // bitmask of replica indexes that failed this call
+		wait     = model.RetransmitTimeout // next backoff
 	)
 	for {
 		// Choose an endpoint: the first untried replica whose breaker
@@ -595,11 +573,6 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 		}
 		// The caller sat out the retransmission timer to detect this
 		// loss: charge it, bounded by the per-call budget.
-		waits++
-		wait := rawWait
-		if waits > 1 {
-			wait = time.Duration(float64(rawWait) * jitterScale(ep, waits, c.Policy.Jitter))
-		}
 		if wait > remaining {
 			simtime.Charge(ctx, remaining)
 			reg.Counter("hrpc_client_timeouts_total").Inc()
@@ -608,12 +581,7 @@ func (c *Client) roundTrip(ctx context.Context, tr transport.Transport, addr str
 		simtime.Charge(ctx, wait)
 		remaining -= wait
 		reg.Counter("hrpc_client_retries_total").Inc()
-		if rawWait < maxWait {
-			rawWait *= 2
-			if rawWait > maxWait {
-				rawWait = maxWait
-			}
-		}
+		wait = min(2*wait, maxWait)
 	}
 }
 
@@ -703,23 +671,4 @@ func connHealthy(err error) bool {
 	var re *transport.RemoteError
 	var ce *transport.CallExpiredError
 	return errors.As(err, &re) || errors.As(err, &ce)
-}
-
-// Close releases every pooled connection.
-func (c *Client) Close() error {
-	var first error
-	c.mu.Lock()
-	for key, p := range c.pools {
-		for _, e := range p.conns {
-			e.gone = true
-			if err := e.conn.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		p.conns = nil
-		p.size.Set(0)
-		delete(c.pools, key)
-	}
-	c.mu.Unlock()
-	return first
 }

@@ -13,9 +13,9 @@ import (
 // CallHeader is the control-protocol-independent view of a call header.
 //
 // Budget is the caller's remaining deadline, when the call carried one.
-// It is NOT part of any control protocol's wire layout (those formats
-// are byte-pinned for old peers); it rides the sniffable frame prefix
-// described in deadline.go, and is zero for calls without one.
+// It is NOT part of any control protocol's wire layout (those are the
+// paper's byte-pinned formats); it rides the frame prefix described in
+// deadline.go, and is zero for calls without one.
 type CallHeader struct {
 	XID       uint32
 	Program   uint32

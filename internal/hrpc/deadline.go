@@ -20,15 +20,14 @@ import (
 // computing a dead reply.
 //
 // The budget rides a small frame prefix rather than a control-protocol
-// header field: the sunrpc/courier/raw layouts are fixed, byte-pinned
-// formats old peers parse, so the extension is negotiated by prefix
-// sniffing. A client opted in via
-// Client.PropagateDeadline prepends "HDLN" + u32 budget-ms to each
-// attempt's frame (re-encoded per attempt, so a retry after a charged
-// backoff carries the *remaining* budget); a server strips the prefix
-// when present. Nothing is sent for callers without deadlines, and the
-// flag defaults to off, so pre-extension peers and every calibrated
-// table are untouched.
+// header field: the sunrpc/courier/raw layouts are the paper's fixed,
+// byte-pinned formats. A client opted in via Client.PropagateDeadline
+// prepends "HDLN" + u32 budget-ms to each attempt's frame (re-encoded
+// per attempt, so a retry after a charged backoff carries the
+// *remaining* budget); every server strips the prefix when present.
+// Nothing is sent for callers without deadlines. The flag defaults to
+// off because the calibrated tables are computed without budget
+// propagation.
 
 // deadlinePreamble opens a budget-prefixed call frame.
 var deadlinePreamble = [4]byte{'H', 'D', 'L', 'N'}
@@ -54,7 +53,7 @@ func appendBudgetPrefix(buf []byte, budget time.Duration) []byte {
 
 // stripBudgetPrefix detects and removes a budget prefix, returning the
 // carried budget and the control frame proper. ok is false when the
-// frame has no prefix (a pre-extension caller).
+// frame has no prefix (the caller propagates no budget).
 func stripBudgetPrefix(frame []byte) (budget time.Duration, rest []byte, ok bool) {
 	if len(frame) < deadlinePrefixLen || [4]byte(frame[:4]) != deadlinePreamble {
 		return 0, frame, false
@@ -83,9 +82,7 @@ func BudgetFrom(ctx context.Context) (time.Duration, bool) {
 //
 // Overload and budget-shed outcomes travel in the reply's error text —
 // the only channel every control protocol already carries — under
-// reserved prefixes the client maps back to typed errors. A pre-extension
-// client simply surfaces them as remote faults, which is safe: it backs
-// off through its normal retry discipline.
+// reserved prefixes Client.Call maps back to typed errors.
 
 // ErrOverloaded is matched (errors.Is) by backpressure errors: the
 // server is alive but shedding load. Retry machinery must not trip the

@@ -71,7 +71,7 @@ func TestOverloadedErrCodec(t *testing.T) {
 func TestRetryRespectsContextDeadline(t *testing.T) {
 	e := newFailoverEnv(t)
 	e.plan.Blackhole(foPrimary)
-	e.c.Policy = RetryPolicy{Budget: 600 * time.Millisecond}
+	e.c.RetryBudget = 600 * time.Millisecond
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -93,7 +93,7 @@ func TestRetryRespectsContextDeadline(t *testing.T) {
 func TestPropagatedBudgetClampsRetryExactly(t *testing.T) {
 	e := newFailoverEnv(t)
 	e.plan.Blackhole(foPrimary)
-	e.c.Policy = RetryPolicy{Budget: 600 * time.Millisecond}
+	e.c.RetryBudget = 600 * time.Millisecond
 
 	ctx := simtime.WithMeter(context.Background(), simtime.NewMeter())
 	m := simtime.From(ctx)
@@ -261,7 +261,7 @@ func TestFailoverCarriesRemainingBudget(t *testing.T) {
 			t.Parallel()
 			e := newDeadlineEnv(t, nil)
 			tc.arrange(e)
-			e.c.Policy = RetryPolicy{Budget: 750 * time.Millisecond}
+			e.c.RetryBudget = 750 * time.Millisecond
 
 			ctx := WithBudget(simtime.WithMeter(context.Background(), simtime.NewMeter()), tc.budget)
 			_, err := e.c.Call(ctx, e.b, deadlineProc, marshal.StructV(marshal.Str("ping")))
@@ -286,8 +286,8 @@ func TestFailoverCarriesRemainingBudget(t *testing.T) {
 }
 
 // TestLegacyClientUnaffected: without PropagateDeadline the wire bytes
-// carry no prefix and the server records a zero budget — the
-// pre-extension contract.
+// carry no prefix and the server records a zero budget — the wire the
+// calibrated tables are computed on.
 func TestLegacyClientUnaffected(t *testing.T) {
 	e := newDeadlineEnv(t, nil)
 	e.c.PropagateDeadline = false

@@ -117,7 +117,7 @@ func TestFailoverSimtimeAccounting(t *testing.T) {
 			name: "cancelled-context-charges-nothing",
 			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
 				e.plan.Blackhole(foPrimary)
-				e.c.Retries = 100
+				e.c.RetryBudget = 100 * rto
 				cctx, cancel := context.WithCancel(ctx)
 				cancel()
 				return cctx
@@ -130,7 +130,7 @@ func TestFailoverSimtimeAccounting(t *testing.T) {
 			name: "blackout-exhausts-budget-exactly",
 			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
 				e.plan.Blackhole(foPrimary)
-				e.c.Policy = RetryPolicy{Budget: 600 * time.Millisecond}
+				e.c.RetryBudget = 600 * time.Millisecond
 				return ctx
 			},
 			// 250ms first wait, then the 500ms backoff is capped to the
@@ -139,20 +139,10 @@ func TestFailoverSimtimeAccounting(t *testing.T) {
 			wantIs:   []error{ErrCallTimeout, transport.ErrInjectedLoss},
 		},
 		{
-			name: "blackout-with-jitter-still-exact-budget",
-			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
-				e.plan.Blackhole(foPrimary)
-				e.c.Policy = RetryPolicy{Budget: 600 * time.Millisecond, Jitter: 0.5}
-				return ctx
-			},
-			wantCost: 600 * time.Millisecond,
-			wantIs:   []error{ErrCallTimeout, transport.ErrInjectedLoss},
-		},
-		{
 			name: "refused-primary-fails-over-free",
 			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
 				e.plan.Kill(foPrimary)
-				e.c.Policy = RetryPolicy{Budget: 750 * time.Millisecond}
+				e.c.RetryBudget = 750 * time.Millisecond
 				e.c.SetReplicas(foPrimary, foSecondary)
 				return ctx
 			},
@@ -165,7 +155,7 @@ func TestFailoverSimtimeAccounting(t *testing.T) {
 			name: "blackholed-primary-fails-over-after-one-timeout",
 			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
 				e.plan.Blackhole(foPrimary)
-				e.c.Policy = RetryPolicy{Budget: 750 * time.Millisecond}
+				e.c.RetryBudget = 750 * time.Millisecond
 				e.c.SetReplicas(foPrimary, foSecondary)
 				return ctx
 			},
@@ -206,7 +196,7 @@ func TestFailoverSimtimeAccounting(t *testing.T) {
 			arrange: func(t *testing.T, e *failoverEnv, ctx context.Context) context.Context {
 				e.openBreaker(t, ctx)
 				e.clk.Advance(10 * time.Second) // serve the cooldown
-				e.c.Policy = RetryPolicy{Budget: 250 * time.Millisecond}
+				e.c.RetryBudget = 250 * time.Millisecond
 				return ctx
 			},
 			// The probe is admitted, lost, and charged exactly one base
@@ -267,7 +257,7 @@ func TestFailoverRestoresPrimaryAfterProbe(t *testing.T) {
 	model := simtime.Default()
 	e := newFailoverEnv(t)
 	ctx := context.Background()
-	e.c.Policy = RetryPolicy{Budget: 750 * time.Millisecond}
+	e.c.RetryBudget = 750 * time.Millisecond
 	e.c.SetReplicas(foPrimary, foSecondary)
 
 	// Healthy baseline.

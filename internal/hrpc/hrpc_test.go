@@ -565,3 +565,50 @@ func TestCallSeriesNames(t *testing.T) {
 		t.Errorf("%s count = %d, want 4", ms, got)
 	}
 }
+
+// TestDecodeReplyMatchesXID checks the reply decode Client.Call and
+// StickyConn.Call share: a reply carrying another call's XID is rejected
+// with ErrXIDMismatch, Courier compares only the 16 bits its header
+// carries, and a remote error comes back as a *RemoteFault.
+func TestDecodeReplyMatchesXID(t *testing.T) {
+	rep, err := marshal.Lookup("xdr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := rep.Append(nil, marshal.StructV(marshal.Str("x")), echoProc.Ret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		control     string
+		call, reply uint32
+		remoteErr   string
+		want        error
+	}{
+		{control: "sunrpc", call: 7, reply: 7},
+		{control: "sunrpc", call: 7, reply: 8, want: ErrXIDMismatch},
+		{control: "courier", call: 0x10007, reply: 7},
+		{control: "courier", call: 7, reply: 8, want: ErrXIDMismatch},
+		{control: "sunrpc", call: 7, reply: 7, remoteErr: "no such name"},
+	} {
+		ctl, err := LookupControl(tc.control)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := ctl.EncodeReply(ReplyHeader{XID: tc.reply, Err: tc.remoteErr}, results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := stub{model: simtime.Default(), ctl: ctl, rep: rep}
+		_, err = st.decodeReply(context.Background(), tc.call, echoProc, frame)
+		var rf *RemoteFault
+		switch {
+		case tc.remoteErr != "":
+			if !errors.As(err, &rf) || rf.Msg != tc.remoteErr {
+				t.Errorf("%s: remote error decoded as %v, want *RemoteFault %q", tc.control, err, tc.remoteErr)
+			}
+		case !errors.Is(err, tc.want):
+			t.Errorf("%s call %#x reply %#x: err = %v, want %v", tc.control, tc.call, tc.reply, err, tc.want)
+		}
+	}
+}

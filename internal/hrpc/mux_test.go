@@ -291,92 +291,121 @@ func TestMuxClientCloseIdle(t *testing.T) {
 	}
 }
 
-// TestMuxPoolGrowsAtStreamCap checks PoolConfig sizing: with
-// MaxStreams=1 a second concurrent call opens a second connection, and
-// once MaxConns is reached further calls overflow onto the least-loaded
-// connection instead of dialing or queueing.
-func TestMuxPoolGrowsAtStreamCap(t *testing.T) {
+// gatedDialTransport counts dials and holds the first one until gate is
+// closed, so a test can act while a dial is in progress.
+type gatedDialTransport struct {
+	transport.Transport
+	dials   atomic.Int64
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedDialTransport) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	if g.dials.Add(1) == 1 {
+		close(g.entered)
+		<-g.gate
+	}
+	return g.Transport.Dial(ctx, addr)
+}
+
+// TestMuxCloseIdleDuringDial runs CloseIdle while an endpoint's first
+// connection is still being dialed. CloseIdle drops the endpoint's empty
+// entry; the dialed connection must still end up pooled under the
+// endpoint, so the next call reuses it instead of dialing again.
+func TestMuxCloseIdleDuringDial(t *testing.T) {
 	n := transport.NewNetwork(simtime.Default())
 	inner, err := n.Transport("udp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrive := make(chan struct{}, 8)
-	release := make(chan struct{})
-	block := func(ctx context.Context, req []byte) ([]byte, error) {
-		arrive <- struct{}{}
-		<-release
-		return req, nil
-	}
-	ln, err := inner.Listen("grow:1", block)
+	echo := func(ctx context.Context, req []byte) ([]byte, error) { return req, nil }
+	ln, err := inner.Listen("dialidle:1", echo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	ct := &countingTransport{Transport: inner}
+	gt := &gatedDialTransport{Transport: inner, entered: make(chan struct{}), gate: make(chan struct{})}
 
 	reg := metrics.NewRegistry()
 	c := NewClient(n)
 	c.Metrics = reg
-	c.Pool = PoolConfig{MaxConns: 2, MaxStreams: 1}
 	defer c.Close()
-
-	done := make(chan error, 3)
-	start := func() {
-		go func() {
-			_, _, err := c.roundTrip(context.Background(), ct, "grow:1", []byte("ping"), budgetState{})
-			done <- err
-		}()
-	}
-	inflight := reg.Gauge(metrics.Labels("conn_inflight", "addr", "grow:1"))
-	poolSize := reg.Gauge(metrics.Labels("conn_pool_size", "addr", "grow:1"))
-
-	start() // first call: dials connection 1
-	<-arrive
-	if d := ct.dials.Load(); d != 1 {
-		t.Fatalf("dials after first call = %d, want 1", d)
-	}
-	start() // connection 1 is at its stream cap: dials connection 2
-	<-arrive
-	if d := ct.dials.Load(); d != 2 {
-		t.Fatalf("dials with second concurrent call = %d, want 2 (stream cap forces growth)", d)
-	}
-	if s := poolSize.Value(); s != 2 {
-		t.Fatalf("conn_pool_size = %d, want 2", s)
-	}
-	start() // pool at MaxConns: overflow rides a connection, no dial, no queue
-	<-arrive
-	if d := ct.dials.Load(); d != 2 {
-		t.Fatalf("dials with overflow call = %d, want 2 (MaxConns caps growth)", d)
-	}
-	if f := inflight.Value(); f != 3 {
-		t.Fatalf("conn_inflight = %d, want 3", f)
+	call := func() error {
+		_, _, err := c.roundTrip(context.Background(), gt, "dialidle:1", []byte("ping"), budgetState{})
+		return err
 	}
 
-	close(release)
-	for i := 0; i < 3; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	<-gt.entered
+	if got := c.CloseIdle(); got != 0 {
+		t.Fatalf("CloseIdle during the dial closed %d connections, want 0", got)
 	}
-	if f := inflight.Value(); f != 0 {
-		t.Fatalf("conn_inflight after completion = %d, want 0", f)
+	close(gt.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
-	if s := poolSize.Value(); s != 2 {
-		t.Fatalf("conn_pool_size after completion = %d, want 2 (connections stay pooled)", s)
+	if err := call(); err != nil {
+		t.Fatal(err)
 	}
+	if d := gt.dials.Load(); d != 1 {
+		t.Fatalf("dials = %d, want 1 (the connection dialed across CloseIdle is pooled)", d)
+	}
+	if s := reg.Gauge(metrics.Labels("conn_pool_size", "addr", "dialidle:1")).Value(); s != 1 {
+		t.Fatalf("conn_pool_size = %d, want 1", s)
+	}
+}
+
+// openConnTransport registers tcp-net under another name and counts the
+// client connections it has dialed and not yet closed.
+type openConnTransport struct {
+	transport.Transport
+	open atomic.Int64
+}
+
+func (t *openConnTransport) Name() string { return "tcp-net-counted" }
+
+func (t *openConnTransport) Dial(ctx context.Context, addr string) (transport.Conn, error) {
+	c, err := t.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	t.open.Add(1)
+	return &openConn{Conn: c, open: &t.open}, nil
+}
+
+type openConn struct {
+	transport.Conn
+	open *atomic.Int64
+	once sync.Once
+}
+
+func (c *openConn) Close() error {
+	c.once.Do(func() { c.open.Add(-1) })
+	return c.Conn.Close()
 }
 
 // TestMuxHRPCConcurrentEcho drives the full client stack — marshalling,
 // control protocol, pooled multiplexed TCP — with many concurrent
-// callers sharing a small pool, checking that every reply reaches its
-// caller intact (no cross-stream mixups under -race).
+// callers sharing the endpoint's one connection, checking that every
+// reply reaches its caller intact (no cross-stream mixups under -race),
+// that concurrent first calls racing to dial leave exactly one
+// connection pooled and open (the losers' connections are closed), and
+// that every reservation is returned.
 func TestMuxHRPCConcurrentEcho(t *testing.T) {
 	n := transport.NewNetwork(simtime.Default())
 	b, stop := newEchoServer(t, n, SuiteCourierNet, "fiji", "127.0.0.1:0")
 	defer stop()
+	tcp, err := n.Transport(b.Transport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ot := &openConnTransport{Transport: tcp}
+	n.Register(ot)
+	b.Transport = ot.Name()
+	reg := metrics.NewRegistry()
 	c := NewClient(n)
-	c.Pool = PoolConfig{MaxConns: 2, MaxStreams: 16}
+	c.Metrics = reg
 	defer c.Close()
 
 	const callers = 64
@@ -406,5 +435,14 @@ func TestMuxHRPCConcurrentEcho(t *testing.T) {
 		if err != nil {
 			t.Fatalf("caller %d: %v", i, err)
 		}
+	}
+	if s := reg.Gauge(metrics.Labels("conn_pool_size", "addr", b.Addr)).Value(); s != 1 {
+		t.Fatalf("conn_pool_size = %d, want 1 (one connection per endpoint)", s)
+	}
+	if f := reg.Gauge(metrics.Labels("conn_inflight", "addr", b.Addr)).Value(); f != 0 {
+		t.Fatalf("conn_inflight after completion = %d, want 0", f)
+	}
+	if o := ot.open.Load(); o != 1 {
+		t.Fatalf("open client connections = %d, want 1 (dial-race losers closed)", o)
 	}
 }

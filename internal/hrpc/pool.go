@@ -2,19 +2,13 @@ package hrpc
 
 // Per-endpoint connection pool.
 //
-// The client used to cache exactly one connection per transport+address
-// key, forever: the map never evicted, and with the serialized legacy
-// transports that single socket carried one call at a time. Multiplexed
-// transports (internal/transport mux.go) change the economics — one
-// connection carries many concurrent streams — so the cache becomes a
-// small pool: up to MaxConns connections per endpoint, each carrying up
-// to MaxStreams in-flight calls, with idle connections closed after
-// IdleTimeout (or explicitly via Client.CloseIdle).
-//
-// The zero-value PoolConfig reproduces the legacy discipline exactly —
-// one connection per endpoint, kept until Close — so every calibrated
-// simulated cost (one dial per endpoint per client, ever) is unchanged
-// unless a caller opts into a bigger pool.
+// Every transport frames calls with tags (internal/transport mux.go), so
+// one connection carries any number of concurrent calls: the client
+// holds at most one connection per transport+address key. Idle
+// connections are closed after IdleTimeout (or explicitly via
+// Client.CloseIdle), so the per-endpoint map does not grow without bound
+// across many distinct addresses. One dial per endpoint per client is
+// also what every calibrated simulated cost assumes.
 
 import (
 	"context"
@@ -26,23 +20,9 @@ import (
 	"hns/internal/transport"
 )
 
-// PoolConfig bounds the client's per-endpoint connection pool. Set
-// before first use.
+// PoolConfig sets the client's idle-connection policy. Set before first
+// use.
 type PoolConfig struct {
-	// MaxConns caps how many connections may be open to one endpoint.
-	// With multiplexed transports one connection usually suffices;
-	// additional ones help once MaxStreams bounds the calls a single
-	// connection may carry. Non-positive means 1 — the legacy single
-	// cached connection.
-	MaxConns int
-
-	// MaxStreams caps concurrent in-flight calls per connection. When
-	// every open connection is at the cap, a new one is dialed if
-	// MaxConns allows; otherwise the least-loaded connection carries the
-	// overflow (the cap is a growth signal, not an admission limit, so
-	// calls never queue in the pool). Non-positive means unbounded.
-	MaxStreams int
-
 	// IdleTimeout retires connections that have carried no call for this
 	// long. Expiry is checked lazily on the next acquire against the
 	// same endpoint and eagerly by Client.CloseIdle. Non-positive means
@@ -57,27 +37,26 @@ type PoolConfig struct {
 // address.
 type poolKey struct{ transport, addr string }
 
-// connPool is the per-endpoint state: a small set of open connections
-// plus the gauges that make its size and load observable.
+// connPool is the per-endpoint state: the open connection, if any, plus
+// the gauges that make its size and load observable.
 type connPool struct {
-	addr     string
 	size     *metrics.Gauge // conn_pool_size{addr}
 	inflight *metrics.Gauge // conn_inflight{addr}
 
-	// conns is guarded by Client.mu (the pool map's own lock): pool
+	// conn is guarded by Client.mu (the pool map's own lock): pool
 	// operations are brief bookkeeping — dials and calls happen outside
-	// the lock.
-	conns []*pooledConn
+	// the lock. Nil while no connection is open.
+	conn *pooledConn
 }
 
-// pooledConn is one pool entry. inflight counts calls between acquire
-// and release/discard; idleSince is meaningful only while inflight is 0.
+// pooledConn is one pooled connection. inflight counts calls between
+// acquire and release/discard; idleSince is meaningful only while
+// inflight is 0.
 type pooledConn struct {
 	pool      *connPool
 	conn      transport.Conn
 	inflight  int
 	idleSince time.Time
-	gone      bool // removed from the pool (discarded or evicted)
 }
 
 // clock resolves the pool's time base.
@@ -98,7 +77,6 @@ func (c *Client) poolFor(key poolKey) *connPool {
 	if !ok {
 		reg := c.registry()
 		p = &connPool{
-			addr:     key.addr,
 			size:     reg.Gauge(metrics.Labels("conn_pool_size", "addr", key.addr)),
 			inflight: reg.Gauge(metrics.Labels("conn_inflight", "addr", key.addr)),
 		}
@@ -107,102 +85,76 @@ func (c *Client) poolFor(key poolKey) *connPool {
 	return p
 }
 
-// evictIdleLocked removes (and returns, for closing outside the lock)
-// every connection that has sat idle past the deadline. Caller holds
+// idleLocked reports whether p's connection has no call in flight and,
+// when idle is positive, has sat unused for at least idle. Caller holds
 // c.mu.
-func (p *connPool) evictIdleLocked(now time.Time, idle time.Duration) []*pooledConn {
-	if idle <= 0 {
+func (p *connPool) idleLocked(now time.Time, idle time.Duration) bool {
+	e := p.conn
+	return e != nil && e.inflight == 0 && (idle <= 0 || now.Sub(e.idleSince) >= idle)
+}
+
+// dropLocked removes p's connection from the pool and returns it for
+// closing outside the lock (nil when there was none). Caller holds c.mu.
+func (p *connPool) dropLocked() transport.Conn {
+	e := p.conn
+	if e == nil {
 		return nil
 	}
-	var expired []*pooledConn
-	kept := p.conns[:0]
-	for _, e := range p.conns {
-		if e.inflight == 0 && now.Sub(e.idleSince) >= idle {
-			e.gone = true
-			expired = append(expired, e)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	p.conns = kept
-	p.size.Set(int64(len(p.conns)))
-	return expired
+	p.conn = nil
+	p.size.Set(0)
+	return e.conn
 }
 
-// leastLoadedLocked returns the connection with the fewest in-flight
-// calls, optionally skipping those at the stream cap. Caller holds c.mu.
-func (p *connPool) leastLoadedLocked(maxStreams int) *pooledConn {
-	var best *pooledConn
-	for _, e := range p.conns {
-		if maxStreams > 0 && e.inflight >= maxStreams {
-			continue
-		}
-		if best == nil || e.inflight < best.inflight {
-			best = e
-		}
-	}
-	return best
+// reserveLocked takes one in-flight reservation on e. Caller holds c.mu.
+func (p *connPool) reserveLocked(e *pooledConn) {
+	e.inflight++
+	p.inflight.Add(1)
 }
 
-// acquire returns a connection to addr holding one in-flight
-// reservation, reusing a pooled connection when one is available and
-// dialing otherwise. The second result reports whether this acquire
-// dialed (and so paid the transport's setup charge); it gates the
-// one-redial recovery and the FreshConn setup charge in sendOnce.
+// acquire returns addr's connection holding one in-flight reservation,
+// dialing when the endpoint has none open. The second result reports
+// whether this acquire dialed (and so paid the transport's setup
+// charge); it gates the one-redial recovery and the FreshConn setup
+// charge in sendOnce.
 func (c *Client) acquire(ctx context.Context, tr transport.Transport, addr string, key poolKey) (*pooledConn, bool, error) {
-	maxConns := c.Pool.MaxConns
-	if maxConns <= 0 {
-		maxConns = 1
-	}
 	now := c.clock().Now()
+	var expired transport.Conn
 
 	c.mu.Lock()
 	pool := c.poolFor(key)
-	expired := pool.evictIdleLocked(now, c.Pool.IdleTimeout)
-	if e := pool.leastLoadedLocked(c.Pool.MaxStreams); e != nil {
-		e.inflight++
-		pool.inflight.Add(1)
+	if c.Pool.IdleTimeout > 0 && pool.idleLocked(now, c.Pool.IdleTimeout) {
+		expired = pool.dropLocked()
+	}
+	if e := pool.conn; e != nil {
+		pool.reserveLocked(e)
 		c.mu.Unlock()
-		closeAll(expired)
 		return e, false, nil
 	}
-	full := len(pool.conns) >= maxConns
-	var overflow *pooledConn
-	if full {
-		// Every connection is at the stream cap and the pool is at its
-		// size cap: ride the least-loaded one rather than queueing.
-		overflow = pool.leastLoadedLocked(0)
-	}
-	if overflow != nil {
-		overflow.inflight++
-		pool.inflight.Add(1)
-		c.mu.Unlock()
-		closeAll(expired)
-		return overflow, false, nil
-	}
 	c.mu.Unlock()
-	closeAll(expired)
+	if expired != nil {
+		_ = expired.Close()
+	}
 
 	conn, err := tr.Dial(ctx, addr)
 	if err != nil {
 		return nil, false, err
 	}
-	e := &pooledConn{pool: pool, conn: conn, inflight: 1}
 	c.mu.Lock()
-	if len(pool.conns) >= maxConns {
-		// Lost a dial race; ride an existing connection and drop ours
+	// Look the pool up again: CloseIdle may have dropped the empty entry
+	// while this dial was in progress.
+	pool = c.poolFor(key)
+	if prev := pool.conn; prev != nil {
+		// Lost a dial race; ride the winner's connection and drop ours
 		// (the dial still happened, and was charged).
-		if prev := pool.leastLoadedLocked(0); prev != nil {
-			prev.inflight++
-			pool.inflight.Add(1)
-			c.mu.Unlock()
-			_ = conn.Close()
-			return prev, true, nil
-		}
+		pool.reserveLocked(prev)
+		c.mu.Unlock()
+		_ = conn.Close()
+		return prev, true, nil
 	}
-	pool.conns = append(pool.conns, e)
-	pool.size.Set(int64(len(pool.conns)))
-	pool.inflight.Add(1)
+	e := &pooledConn{pool: pool, conn: conn}
+	pool.conn = e
+	pool.size.Set(1)
+	pool.reserveLocked(e)
 	c.mu.Unlock()
 	return e, true, nil
 }
@@ -232,62 +184,55 @@ func (c *Client) settle(e *pooledConn, err error) {
 // connection is removed from the pool (idempotently — the first caller
 // to notice the failure removes it, later ones only release) and closed.
 func (c *Client) discard(e *pooledConn) {
+	var dead transport.Conn
 	c.mu.Lock()
 	e.inflight--
 	e.pool.inflight.Add(-1)
-	remove := false
-	if !e.gone {
-		p := e.pool
-		for i, x := range p.conns {
-			if x == e {
-				p.conns = append(p.conns[:i], p.conns[i+1:]...)
-				p.size.Set(int64(len(p.conns)))
-				e.gone = true
-				remove = true
-				break
-			}
-		}
+	if e.pool.conn == e {
+		dead = e.pool.dropLocked()
 	}
 	c.mu.Unlock()
-	if remove {
-		_ = e.conn.Close()
+	if dead != nil {
+		_ = dead.Close()
 	}
 }
 
 // CloseIdle closes every pooled connection with no call in flight —
 // those idle at least Pool.IdleTimeout when it is set, every idle one
-// when it is not — and drops endpoint entries whose pools empty out, so
-// the per-endpoint map no longer grows without bound across many
-// distinct addresses. It reports how many connections it closed.
+// when it is not — and drops endpoint entries left without a
+// connection. It reports how many connections it closed.
 func (c *Client) CloseIdle() int {
 	now := c.clock().Now()
-	idle := c.Pool.IdleTimeout
 
-	var victims []*pooledConn
+	var victims []transport.Conn
 	c.mu.Lock()
 	for key, p := range c.pools {
-		kept := p.conns[:0]
-		for _, e := range p.conns {
-			if e.inflight == 0 && (idle <= 0 || now.Sub(e.idleSince) >= idle) {
-				e.gone = true
-				victims = append(victims, e)
-				continue
-			}
-			kept = append(kept, e)
+		if p.idleLocked(now, c.Pool.IdleTimeout) {
+			victims = append(victims, p.dropLocked())
 		}
-		p.conns = kept
-		p.size.Set(int64(len(p.conns)))
-		if len(p.conns) == 0 {
+		if p.conn == nil {
 			delete(c.pools, key)
 		}
 	}
 	c.mu.Unlock()
-	closeAll(victims)
+	for _, conn := range victims {
+		_ = conn.Close()
+	}
 	return len(victims)
 }
 
-func closeAll(entries []*pooledConn) {
-	for _, e := range entries {
-		_ = e.conn.Close()
+// Close releases every pooled connection.
+func (c *Client) Close() error {
+	var first error
+	c.mu.Lock()
+	for key, p := range c.pools {
+		if conn := p.dropLocked(); conn != nil {
+			if err := conn.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+		delete(c.pools, key)
 	}
+	c.mu.Unlock()
+	return first
 }

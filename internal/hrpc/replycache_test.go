@@ -41,7 +41,7 @@ func newCountingServer(t *testing.T, net *transport.Network, ttl time.Duration) 
 	}
 	s.Register(lookupProc, handler)
 	s.Register(echoProc, handler)
-	s.EnableReplyCache(nil, ttl, 0)
+	s.EnableReplyCache(nil, ttl)
 	ln, b, err := Serve(net, s, SuiteRaw, "fiji", "fiji:count")
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestReplyCacheTTLExpiry(t *testing.T) {
 		v, _ := args.Field(0)
 		return marshal.StructV(v), nil
 	})
-	s.EnableReplyCache(clock, time.Minute, 0)
+	s.EnableReplyCache(clock, time.Minute)
 	ln, b, err := Serve(net, s, SuiteRaw, "fiji", "fiji:ttl")
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hns/internal/marshal"
+	"hns/internal/metrics"
 	"hns/internal/simtime"
 	"hns/internal/transport"
 )
@@ -40,7 +41,7 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	// succeeds.
 	net, b := flakyNetwork(t, transport.DropEvery(2))
 	c := NewClient(net)
-	c.Retries = 1
+	c.RetryBudget = net.Model().RetransmitTimeout
 	defer c.Close()
 	for i := 0; i < 8; i++ {
 		if _, err := c.Call(context.Background(), b, echoProc,
@@ -68,7 +69,7 @@ func TestRetryChargesTimeout(t *testing.T) {
 	net, b := flakyNetwork(t, transport.DropFirst(1))
 	model := net.Model()
 	c := NewClient(net)
-	c.Retries = 2
+	c.RetryBudget = 2 * model.RetransmitTimeout
 	defer c.Close()
 	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
 		_, err := c.Call(ctx, b, echoProc, marshal.StructV(marshal.Str("x")))
@@ -88,11 +89,48 @@ func TestRetryChargesTimeout(t *testing.T) {
 func TestRetriesExhausted(t *testing.T) {
 	net, b := flakyNetwork(t, func(int) bool { return true }) // total blackout
 	c := NewClient(net)
-	c.Retries = 3
+	c.RetryBudget = 3 * net.Model().RetransmitTimeout
 	defer c.Close()
 	_, err := c.Call(context.Background(), b, echoProc, marshal.StructV(marshal.Str("x")))
 	if !errors.Is(err, transport.ErrInjectedLoss) {
 		t.Fatalf("want injected loss after exhausting retries, got %v", err)
+	}
+}
+
+// TestRetryBackoffSchedule pins the retransmission schedule: the first
+// wait is the model's RetransmitTimeout, each further one doubles, and
+// waits stop growing at 4× that. A blackout against an 11 × RTO budget
+// therefore waits 1, 2, 4 and 4 RTOs and spends the budget exactly,
+// failing on the fifth attempt.
+func TestRetryBackoffSchedule(t *testing.T) {
+	net, b := flakyNetwork(t, func(int) bool { return true })
+	rto := net.Model().RetransmitTimeout
+	reg := metrics.NewRegistry()
+	c := NewClient(net)
+	c.Metrics = reg
+	c.Health.Threshold = 100 // keep the breaker out of the schedule
+	c.RetryBudget = 11 * rto
+	defer c.Close()
+	var callErr error
+	cost, err := simtime.Measure(context.Background(), func(ctx context.Context) error {
+		_, callErr = c.Call(ctx, b, echoProc, marshal.StructV(marshal.Str("x")))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ct *CallTimeout
+	if !errors.As(callErr, &ct) {
+		t.Fatalf("want *CallTimeout, got %v", callErr)
+	}
+	if ct.Attempts != 5 {
+		t.Fatalf("attempts = %d, want 5 (waits of 1, 2, 4, 4 RTOs)", ct.Attempts)
+	}
+	if r := reg.Counter("hrpc_client_retries_total").Value(); r != 4 {
+		t.Fatalf("hrpc_client_retries_total = %d, want 4", r)
+	}
+	if cost < c.RetryBudget || cost > c.RetryBudget+20*time.Millisecond {
+		t.Fatalf("cost = %v, want ≈ the %v budget", cost, c.RetryBudget)
 	}
 }
 
@@ -111,7 +149,7 @@ func TestRemoteFaultNotRetried(t *testing.T) {
 	}
 	defer ln.Close()
 	c := NewClient(net)
-	c.Retries = 5
+	c.RetryBudget = 5 * net.Model().RetransmitTimeout
 	defer c.Close()
 	_, err = c.Call(context.Background(), b, echoProc, marshal.StructV(marshal.Str("x")))
 	var rf *RemoteFault
@@ -126,7 +164,7 @@ func TestRemoteFaultNotRetried(t *testing.T) {
 func TestRetryRespectsCancelledContext(t *testing.T) {
 	net, b := flakyNetwork(t, func(int) bool { return true })
 	c := NewClient(net)
-	c.Retries = 100
+	c.RetryBudget = 100 * net.Model().RetransmitTimeout
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -80,17 +80,16 @@ type cachedReply struct {
 }
 
 // EnableReplyCache equips the server with a TTL-bounded marshalled-reply
-// cache of at most maxEntries entries (0 = unbounded). Only procedures
-// registered with Cacheable=true participate. A nil clock uses real time.
+// cache. Only procedures registered with Cacheable=true participate. A nil clock uses real time.
 // Call before serving.
-func (s *Server) EnableReplyCache(clock simtime.Clock, ttl time.Duration, maxEntries int) {
+func (s *Server) EnableReplyCache(clock simtime.Clock, ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
 	reg := s.registry()
 	s.replies.Store(&replyCache{
 		ttl:   ttl,
-		cache: cache.New[cachedReply](clock, maxEntries),
+		cache: cache.New[cachedReply](clock, 0),
 		hits: reg.Counter(metrics.Labels("reply_cache_hit_total",
 			"server", s.name)),
 		misses: reg.Counter(metrics.Labels("reply_cache_miss_total",

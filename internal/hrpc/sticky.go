@@ -6,7 +6,6 @@ import (
 
 	"hns/internal/bufpool"
 	"hns/internal/marshal"
-	"hns/internal/simtime"
 	"hns/internal/transport"
 )
 
@@ -19,27 +18,14 @@ import (
 // owns its lifecycle: one subscriber, one StickyConn, redial on death.
 type StickyConn struct {
 	c    *Client
-	b    Binding
+	st   stub
 	conn transport.Conn
-	ctl  ControlProtocol
-	rep  marshal.DataRep
 }
 
 // DialSticky opens a dedicated connection to b's endpoint. The caller
 // must Close it; it never enters the client's pool.
 func (c *Client) DialSticky(ctx context.Context, b Binding) (*StickyConn, error) {
-	if err := b.Validate(); err != nil {
-		return nil, err
-	}
-	tr, err := c.net.Transport(b.Transport)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := marshal.Lookup(b.DataRep)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := LookupControl(b.Control)
+	tr, st, err := c.bind(b)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +33,7 @@ func (c *Client) DialSticky(ctx context.Context, b Binding) (*StickyConn, error)
 	if err != nil {
 		return nil, err
 	}
-	return &StickyConn{c: c, b: b, conn: conn, ctl: ctl, rep: rep}, nil
+	return &StickyConn{c: c, st: st, conn: conn}, nil
 }
 
 // SetPushHandler installs fn as the connection's push handler,
@@ -63,21 +49,12 @@ func (s *StickyConn) SetPushHandler(fn func(body []byte, err error)) bool {
 }
 
 // Call invokes p once over this connection — single attempt, no
-// failover. Remote procedure errors surface as *RemoteFault, exactly
-// like Client.Call.
+// failover. Remote procedure errors surface as *RemoteFault, whatever
+// their text: typed statuses (backpressure, budget expiry) are mapped
+// only by Client.Call.
 func (s *StickyConn) Call(ctx context.Context, p Procedure, args marshal.Value) (marshal.Value, error) {
-	model := s.c.net.Model()
-	simtime.Charge(ctx, s.ctl.Overhead(model))
-	argBytes, err := s.rep.Append(bufpool.Get(64), args, p.Args)
-	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: marshal args: %w", p.Name, err)
-	}
-	marshal.ChargeValue(ctx, model, p.Style, args)
 	xid := s.c.xid.Add(1)
-	frame, err := appendCall(s.ctl, bufpool.Get(48+len(argBytes)), CallHeader{
-		XID: xid, Program: s.b.Program, Version: s.b.Version, Procedure: p.ID,
-	}, argBytes)
-	bufpool.Put(argBytes)
+	frame, err := s.st.encodeCall(ctx, xid, p, args)
 	if err != nil {
 		return marshal.Value{}, err
 	}
@@ -85,28 +62,9 @@ func (s *StickyConn) Call(ctx context.Context, p Procedure, args marshal.Value) 
 
 	respFrame, err := s.conn.Call(ctx, frame)
 	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s to %s: %w", p.Name, s.b.Addr, err)
+		return marshal.Value{}, fmt.Errorf("hrpc: %s to %s: %w", p.Name, s.st.b.Addr, err)
 	}
-	rh, resBytes, err := s.ctl.DecodeReply(respFrame)
-	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: %w", p.Name, err)
-	}
-	if m, ok := s.ctl.(xidMatcher); ok {
-		if !m.matchXID(xid, rh.XID) {
-			return marshal.Value{}, fmt.Errorf("%w: sent %d, got %d", ErrXIDMismatch, xid, rh.XID)
-		}
-	} else if rh.XID != xid {
-		return marshal.Value{}, fmt.Errorf("%w: sent %d, got %d", ErrXIDMismatch, xid, rh.XID)
-	}
-	if rh.Err != "" {
-		return marshal.Value{}, &RemoteFault{Proc: p.Name, Msg: rh.Err}
-	}
-	ret, err := marshal.Unmarshal(s.rep, resBytes, p.Ret)
-	if err != nil {
-		return marshal.Value{}, fmt.Errorf("hrpc: %s: unmarshal result: %w", p.Name, err)
-	}
-	marshal.ChargeValue(ctx, model, p.Style, ret)
-	return ret, nil
+	return s.st.decodeReply(ctx, xid, p, respFrame)
 }
 
 // Close releases the connection.

@@ -137,7 +137,7 @@ func newShardSiteHNS(w *world.World, clk *simtime.FakeClock, members []shard.Mem
 	mc.FreshConn = true // Raw suite discipline: dial per call
 	mc.Metrics = reg
 	if opt.Breakers {
-		mc.Policy = hrpc.RetryPolicy{Budget: time.Second}
+		mc.RetryBudget = time.Second
 		mc.Health = health.Config{
 			Threshold: 3,
 			Cooldown:  40 * time.Minute,

@@ -277,7 +277,7 @@ func primarylossScenario() Scenario {
 						mc := hrpc.NewClient(w.Net)
 						mc.FreshConn = true // Raw suite discipline: dial per call
 						mc.Metrics = reg
-						mc.Policy = hrpc.RetryPolicy{Budget: time.Second}
+						mc.RetryBudget = time.Second
 						mc.Health = health.Config{
 							Threshold: 3,
 							Cooldown:  40 * time.Minute,

@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 
 echo "--- static checks"
 go vet ./...
+unformatted=$(gofmt -l .)
+if [[ -n "$unformatted" ]]; then
+  echo "SMOKE FAILED: gofmt -l lists unformatted files:"
+  echo "$unformatted"
+  exit 1
+fi
 
 echo "--- race detector over the full test suite"
 go test -race ./...
